@@ -1,4 +1,4 @@
-"""Exactness checks for alternating chain complexes, by rational elimination.
+"""Exactness checks for alternating chain complexes, certified over Q.
 
 The resolution being verified is
 
@@ -8,8 +8,16 @@ possibly restricted to a subcomplex (a face-closed family of canonical
 tuples).  Exactness at degree n is the dimension count
 rank(boundary from degree n+1) == dim ker(boundary out of degree n),
 which suffices because boundary-of-boundary is zero on any face-closed
-family.  All ranks come from sparse column-echelon elimination over
-Fractions, so the verdicts are exact.
+family.
+
+Ranks come from sparse column-echelon elimination over GF(p) for the
+fixed prime `PRIME`.  Reducing mod p can only lower a rank, and
+boundary-of-boundary zero bounds the rational rank by the kernel
+dimension, so rank_p <= rank_Q <= kernel_dim: whenever the mod-p rank
+reaches the kernel dimension it is the rational rank, and the verdict is
+certified over Q.  Only a shortfall (rank_p < kernel_dim, from an inexact
+complex or an unlucky prime) redoes that degree by elimination over
+Fractions, whose rank keeps the next degree's kernel dimension exact.
 """
 
 from __future__ import annotations
@@ -23,24 +31,32 @@ from typing import Callable, Iterable, Sequence
 from .limits import DEFAULT_DIM_CAP, CapExceeded
 from .trees import Tree, aligned_tuples
 
+# The modulus of the first elimination pass; None means eliminate over Q.
+PRIME: int | None = 2**31 - 1
+
 
 class ColumnEchelon:
-    """Incremental column echelon form over the rationals.
+    """Incremental column echelon form over Q, or over GF(modulus).
 
-    Rows are integers; inserted columns are sparse {row: value} dicts.
-    Each stored pivot column is normalized (pivot value 1) and has its
-    maximum row at the pivot, which keeps reduction loops finite.
+    Rows are integers; inserted columns are sparse {row: value} dicts,
+    with integer values when a modulus is set.  Each stored pivot column
+    is normalized (pivot value 1) and has its maximum row at the pivot,
+    which keeps reduction loops finite.
     """
 
-    def __init__(self) -> None:
-        self.pivots: dict[int, dict[int, Fraction]] = {}
+    def __init__(self, modulus: int | None = None) -> None:
+        self.modulus = modulus
+        self.pivots: dict[int, dict[int, Fraction | int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def insert(self, column: dict[int, Fraction]) -> bool:
+    def insert(self, column: dict[int, Fraction | int]) -> bool:
         """Reduce a column; record a new pivot unless it vanishes."""
+        p = self.modulus
+        if p is not None:
+            return self._insert_mod(column, p)
         col = {r: Fraction(v) for r, v in column.items() if v}
         while col:
             r = max(col)
@@ -60,16 +76,41 @@ class ColumnEchelon:
                     col.pop(row, None)
         return False
 
+    def _insert_mod(self, column: dict[int, int], p: int) -> bool:
+        """`insert` over GF(p): the same reduction on residues."""
+        col = {r: v % p for r, v in column.items() if v % p}
+        pivots = self.pivots
+        while col:
+            r = max(col)
+            pivot = pivots.get(r)
+            if pivot is None:
+                inverse = pow(col[r], -1, p)
+                pivots[r] = {row: val * inverse % p for row, val in col.items()}
+                return True
+            factor = col.pop(r)
+            for row, val in pivot.items():
+                if row == r:
+                    continue
+                value = (col.get(row, 0) - factor * val) % p
+                if value:
+                    col[row] = value
+                else:
+                    col.pop(row, None)
+        return False
+
 
 def rank_of_columns(
-    columns: Iterable[dict[int, Fraction]], target: int | None = None
+    columns: Iterable[dict[int, Fraction | int]],
+    target: int | None = None,
+    modulus: int | None = None,
 ) -> int:
     """Rank of a sparse column family, stopping early at `target`.
 
-    Early stopping is only sound when `target` is a proven upper bound for
-    the rank (for boundary matrices: the kernel dimension one degree down).
+    The rank is over Q, or over GF(modulus) for integer columns.  Early
+    stopping is only sound when `target` is a proven upper bound for the
+    rank (for boundary matrices: the kernel dimension one degree down).
     """
-    ech = ColumnEchelon()
+    ech = ColumnEchelon(modulus)
     for col in columns:
         ech.insert(col)
         if target is not None and ech.rank >= target:
@@ -146,12 +187,11 @@ def verify_exactness(
             raise CapExceeded(f"{len(b)} basis tuples at size {size} exceed cap {dim_cap}")
         bases.append(b)
 
-    def boundary_columns(k: int) -> Iterable[dict[int, Fraction]]:
+    def boundary_columns(k: int) -> Iterable[dict[int, int]]:
         """Columns of the boundary from degree k to degree k-1."""
         row_index = {tup: i for i, tup in enumerate(bases[k - 1])}
-        one = Fraction(1)
         for tup in bases[k]:
-            col: dict[int, Fraction] = {}
+            col: dict[int, int] = {}
             for j in range(len(tup)):
                 face = tup[:j] + tup[j + 1 :]
                 idx = row_index.get(face)
@@ -160,7 +200,7 @@ def verify_exactness(
                         f"membership is not closed under faces: {face} missing "
                         f"(face of {tup})"
                     )
-                col[idx] = -one if j % 2 else one
+                col[idx] = -1 if j % 2 else 1
             yield col
 
     results: list[DegreeExactness] = []
@@ -168,8 +208,13 @@ def verify_exactness(
     for n in range(n_max + 1):
         dim_n = len(bases[n])
         # The target is a proven upper bound (boundary of boundary is
-        # zero), so hitting it early still reports the true rank.
-        image_rank = rank_of_columns(boundary_columns(n + 1), target=kernel_dim)
+        # zero), so hitting it early still reports the true rank, and a
+        # mod-p rank that hits it is the rational rank.
+        image_rank = rank_of_columns(
+            boundary_columns(n + 1), target=kernel_dim, modulus=PRIME
+        )
+        if PRIME is not None and image_rank < kernel_dim:
+            image_rank = rank_of_columns(boundary_columns(n + 1), target=kernel_dim)
         results.append(
             DegreeExactness(
                 degree=n,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+from .chains import canonicalize_tuple
 from .trees import (
     PartialIsometry,
     Tree,
@@ -47,14 +48,6 @@ class AlignedSignature:
             "gaps": list(self.gaps),
             "sort_sign": self.sort_sign,
         }
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    inversions = 0
-    for a, b in combinations(range(len(perm)), 2):
-        if perm[a] > perm[b]:
-            inversions += 1
-    return -1 if inversions % 2 else 1
 
 
 def _signature_data(
@@ -99,7 +92,7 @@ def _signature_data(
         chosen_gaps = gaps_r
         order = order_f[::-1]
         spine = geodesic(t, end_b, end_a)
-    sig = AlignedSignature(chosen_type, chosen_gaps, _permutation_sign(order))
+    sig = AlignedSignature(chosen_type, chosen_gaps, canonicalize_tuple(order)[1])
     return sig, spine
 
 

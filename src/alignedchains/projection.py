@@ -25,7 +25,6 @@ def _segment_offsets(
 ) -> list[int]:
     """Offset along [u, v] of the nearest point to each entry of `points`."""
     length = len(seg) - 1
-    dv = t.distances_from(v)
     out = []
     for w in points:
         dw = t.distances_from(w)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from alignedchains import exactness
 from alignedchains.exactness import (
     ColumnEchelon,
     aligned_exactness,
@@ -10,8 +11,9 @@ from alignedchains.exactness import (
     rank_of_columns,
     verify_exactness,
 )
+from alignedchains.flatmate import ProductComplex, flatmate_exactness, flatmate_tuples
 from alignedchains.limits import CapExceeded
-from alignedchains.trees import build_tree, path_tree, regular_ball
+from alignedchains.trees import build_tree, nonisomorphic_trees, path_tree, regular_ball
 
 
 def test_column_echelon_rank():
@@ -87,3 +89,58 @@ def test_regular_ball_aligned_exact():
     t = regular_ball(3, 2)
     records = aligned_exactness(t, 2)
     assert [rec.exact for rec in records] == [True, True, True]
+
+
+# The 6-vertex real projective plane: H_1 is Z/2, so its boundary ranks
+# differ between GF(2) and Q.
+RP2_TRIANGLES = [
+    (0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+    (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5),
+]
+
+
+def rp2_membership(tup):
+    return any(set(tup) <= set(tri) for tri in RP2_TRIANGLES)
+
+
+def test_fallback_recovers_rational_rank(monkeypatch):
+    edges = sorted({tri[:j] + tri[j + 1 :] for tri in RP2_TRIANGLES for j in range(3)})
+    row = {edge: i for i, edge in enumerate(edges)}
+    columns = [
+        {row[tri[:j] + tri[j + 1 :]]: (-1) ** j for j in range(3)}
+        for tri in RP2_TRIANGLES
+    ]
+    assert rank_of_columns(columns, modulus=2) == 9
+    assert rank_of_columns(columns) == 10
+
+    monkeypatch.setattr(exactness, "PRIME", 2)
+    records = verify_exactness(range(6), 2, rp2_membership)
+    assert records[1].dim == 15
+    assert records[1].image_rank == records[1].kernel_dim == 10
+    assert all(rec.exact for rec in records)
+
+
+def _records(records):
+    return [rec.to_record() for rec in records]
+
+
+def test_modular_path_matches_rational_on_small_trees(monkeypatch):
+    trees = [t for n in range(1, 10) for t in nonisomorphic_trees(n)]
+    assert len(trees) == 95  # unlabeled trees on 1..9 vertices
+    modular = [_records(aligned_exactness(t, 3)) for t in trees]
+    monkeypatch.setattr(exactness, "PRIME", None)
+    rational = [_records(aligned_exactness(t, 3)) for t in trees]
+    assert modular == rational
+
+
+def test_modular_path_matches_rational_on_flatmate_products(monkeypatch):
+    products = [
+        ProductComplex(path_tree(3), path_tree(3)),
+        ProductComplex(regular_ball(3, 1), path_tree(3)),
+    ]
+    # On the second product the flatmate filter drops tuples.
+    assert len(flatmate_tuples(products[1], 3)) < math.comb(12, 3)
+    modular = [_records(flatmate_exactness(p, 3)) for p in products]
+    monkeypatch.setattr(exactness, "PRIME", None)
+    rational = [_records(flatmate_exactness(p, 3)) for p in products]
+    assert modular == rational
