@@ -70,26 +70,21 @@ def flatmate_tuples(p: ProductComplex, size: int) -> list[tuple[int, ...]]:
     """All canonical flatmate tuples with `size` entries, sorted.
 
     Flatmate-ness is monotone under subtuples, so prefixes that already
-    fail are pruned exactly.
+    fail are pruned exactly.  The tuples are grown one entry at a time, in
+    lexicographic order.
     """
     if size < 1:
         raise ValueError("size must be positive")
     n = p.vertex_count
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def extend(start: int) -> None:
-        if len(chosen) == size:
-            out.append(tuple(chosen))
-            return
-        for v in range(start, n):
-            chosen.append(v)
-            if len(chosen) <= 2 or is_flatmate(p, chosen):
-                extend(v + 1)
-            chosen.pop()
-
-    extend(0)
-    return out
+    level = [(v,) for v in range(n)]
+    for length in range(2, size + 1):
+        level = [
+            tup + (v,)
+            for tup in level
+            for v in range(tup[-1] + 1, n)
+            if length <= 2 or is_flatmate(p, tup + (v,))
+        ]
+    return level
 
 
 def flatmate_exactness(

@@ -2,12 +2,15 @@
 
 Filling a cycle z with a chain b of one degree higher is the linear
 program  min |b|_1  subject to  (boundary) b = z.  It is solved in exact
-rational arithmetic: the absolute values are split into nonnegative
-variable pairs, the restricted problems run a two-phase tableau simplex
-with Bland's rule, and columns are generated lazily.  A solve only
-finishes when a full pricing sweep over every admissible column certifies
-dual feasibility, so the reported optimum carries an exact strong-duality
-certificate.
+rational arithmetic by column generation.  Each free coefficient is split
+as p - q with p, q >= 0, but only p's tableau column is stored: q's is its
+negation in every basis.  One two-phase tableau simplex lives across all
+rounds of a solve.  Pricing appends columns, and the rows their new faces
+need, to the kept basis; phase 1 resumes after Farkas pricing and phase 2
+from the last optimum.  A solve only finishes when a full pricing sweep
+over every admissible column certifies dual feasibility, so the reported
+optimum carries an exact strong-duality certificate, and an infeasible
+result a Farkas vector.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .chains import AltChain
 from .limits import DEFAULT_LP_BASIS_CAP, CapExceeded
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -66,104 +68,152 @@ class PreimageResult:
         return self.norm.numerator, self.norm.denominator
 
 
+_ART = 1 << 62  # id of row 0's artificial; row i's is _ART + i
+
+
+def _combine(row: list[int], prow: list[int], a: int, factor: int, d: int) -> list[int]:
+    """One fraction-free elimination step: (a*row - factor*prow) / d."""
+    if factor:
+        return [(a * x - factor * y) // d for x, y in zip(row, prow)]
+    if a != d:
+        return [a * x // d for x in row]
+    return row
+
+
 class _Simplex:
-    """Two-phase tableau simplex with fraction-free integer pivoting.
+    """Two-phase tableau simplex whose basis is kept across rounds.
 
     The tableau is kept integer at a common scale D (the last pivot value,
-    possibly negative): true entries are stored // D, and the one-step
+    possibly negative): it stores D * B^-1 [S A | I | S b], where S signs
+    each row so that its right-hand side is nonnegative.  The one-step
     update (a*T[i][j] - T[i][c]*T[p][j]) / D_old divides exactly because
     the entries are minors of the integer input.  True signs are stored
     signs times sign(D).  Pivot selection is Dantzig's rule until a long
     degenerate streak, then Bland's rule for guaranteed termination.
-    Artificial variables stay in the tableau (banned from the basis in
-    phase 2) so duals can be read off the cost row's artificial cells.
+
+    Free column j is the split pair p - q with ids 2j and 2j + 1.  Only
+    p's column is stored; q's is its negation in every basis, so q's
+    reduced cost is 2*c*D minus p's, and a pivot on q negates p's column.
+    Row i's artificial has id _ART + i, above every split id.  It starts
+    basic in row i and never re-enters once it leaves, and its cells hold
+    the block D * B^-1.  So an appended column is that block times the
+    row-signed column, and the cost row's artificial cells give the duals.
+
+    Rows only grow.  An appended row is a face that no existing column
+    touches, so it is zero on the old columns and enters with its own
+    artificial basic.  Phase 1 minimises the artificial sum; once that is
+    zero, phase 2 minimises the l1 norm for good.  Redundant rows are
+    kept with their artificial basic at zero.  Before each phase 2 a
+    degenerate pivot moves such an artificial out of every row that a
+    column now touches, so that no column can raise it above zero.
     """
 
     _BLAND_AFTER = 40  # consecutive degenerate pivots before switching
 
-    def __init__(self, columns: list[dict[int, int]], rhs: list[int]):
-        self.m = len(rhs)
-        self.n = len(columns)
-        self.row_sign = [1] * self.m
-        self.tableau: list[list[int]] = []
-        for i in range(self.m):
-            sign = -1 if rhs[i] < 0 else 1
-            self.row_sign[i] = sign
-            row = [sign * col.get(i, 0) for col in columns]
-            row.extend(1 if k == i else 0 for k in range(self.m))
-            row.append(sign * rhs[i])
-            self.tableau.append(row)
-        self.tableau.append([0] * (self.n + self.m + 1))  # cost row
-        self.basis = [self.n + i for i in range(self.m)]
-        self.active_rows = list(range(self.m))
+    def __init__(self) -> None:
+        self.n = 0  # free columns
+        self.rows: list[list[int]] = []  # [p columns | artificials | rhs]
+        self.cost = [0]
+        self.row_sign: list[int] = []
+        self.basis: list[int] = []
         self.scale = 1
+        self.phase = 1
 
-    def _rebuild_cost_row(self, costs: list[int]) -> None:
-        """Cost row = D*c - sum of basic costs times their rows (integer)."""
-        width = self.n + self.m + 1
-        d = self.scale
-        row = [d * costs[j] if j < self.n + self.m else 0 for j in range(width)]
-        for i in self.active_rows:
-            cb = costs[self.basis[i]]
-            if cb:
-                ti = self.tableau[i]
-                for j in range(width):
-                    row[j] -= cb * ti[j]
-        self.tableau[-1] = row
+    def add_rows(self, rhs: Sequence[int]) -> None:
+        """Append rows that are zero on every existing column.
 
-    def _pivot(self, row: int, col: int) -> None:
-        tab = self.tableau
-        prow = tab[row]
-        a = prow[col]
+        A nonzero right-hand side is only allowed during phase 1.
+        """
         d = self.scale
-        for i in self.active_rows + [len(tab) - 1]:
-            if i == row:
-                continue
-            ri = tab[i]
-            factor = ri[col]
-            if factor:
-                tab[i] = [(a * x - factor * y) // d for x, y in zip(ri, prow)]
-            elif a != d:
-                tab[i] = [(a * x) // d for x in ri]
-        self.basis[row] = col
+        end = self.n + len(self.rows)
+        zeros = [0] * len(rhs)
+        for row in self.rows:
+            row[end:end] = zeros
+        self.cost[end:end] = zeros
+        for t, value in enumerate(rhs):
+            sign = -1 if value < 0 else 1
+            row = [0] * (end + len(rhs) + 1)
+            row[end + t] = d
+            row[-1] = d * sign * value
+            self.cost[-1] -= row[-1]
+            self.basis.append(_ART + len(self.rows))
+            self.rows.append(row)
+            self.row_sign.append(sign)
+
+    def add_columns(self, vectors: Sequence[dict[int, int]]) -> None:
+        """Append free columns, each given as {row: coefficient}."""
+        n, d = self.n, self.scale
+        signed = [
+            [(n + k, self.row_sign[k] * v) for k, v in vec.items()] for vec in vectors
+        ]
+        for row in self.rows:
+            row[n:n] = [sum(row[k] * v for k, v in col) for col in signed]
+        # the cost cell is D*c - (D*y).column, and D*y_k = D*c_art - cost[k]
+        c_struct, c_art = (0, 1) if self.phase == 1 else (1, 0)
+        cost = self.cost
+        cost[n:n] = [
+            d * c_struct - sum((d * c_art - cost[k]) * v for k, v in col)
+            for col in signed
+        ]
+        self.n += len(vectors)
+
+    def _reduced(self, var: int) -> int:
+        """Stored reduced cost of the split variable `var`."""
+        r = self.cost[var >> 1]
+        if var & 1:
+            return (2 * self.scale if self.phase == 2 else 0) - r
+        return r
+
+    def _pivot(self, row: int, var: int) -> None:
+        j = var >> 1
+        sign = -1 if var & 1 else 1
+        rows = self.rows
+        prow = rows[row]
+        a = sign * prow[j]
+        d = self.scale
+        for i, ri in enumerate(rows):
+            if i != row:
+                rows[i] = _combine(ri, prow, a, sign * ri[j], d)
+        self.cost = _combine(self.cost, prow, a, self._reduced(var), d)
+        self.basis[row] = var
         self.scale = a
 
-    def _iterate(self, allow_artificial: bool) -> None:
-        width = self.n + (self.m if allow_artificial else 0)
+    def _iterate(self) -> None:
         bland = False
         degenerate_streak = 0
         while True:
             sgn = 1 if self.scale > 0 else -1
-            cost_row = self.tableau[-1]
+            twice = 2 * abs(self.scale) if self.phase == 2 else 0
+            cost = self.cost
             enter = -1
-            if bland:
-                for j in range(width):
-                    if sgn * cost_row[j] < 0:
-                        enter = j
+            best_cost = 0
+            for j in range(self.n):
+                rp = sgn * cost[j]
+                rq = twice - rp
+                if rp < best_cost or rq < best_cost:
+                    # rp + rq >= 0, so at most one of them is negative
+                    enter, best_cost = (2 * j, rp) if rp < rq else (2 * j + 1, rq)
+                    if bland:
                         break
-            else:
-                best_cost = 0
-                for j in range(width):
-                    v = sgn * cost_row[j]
-                    if v < best_cost:
-                        best_cost = v
-                        enter = j
             if enter < 0:
                 return
+            j = enter >> 1
+            col_sgn = -sgn if enter & 1 else sgn
             leave_row = -1
-            best: Fraction | None = None
-            for i in self.active_rows:
-                a = self.tableau[i][enter]
-                if sgn * a > 0:
-                    ratio = Fraction(self.tableau[i][-1], a)
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave_row]
+            best_a = best_b = 0
+            for i, row in enumerate(self.rows):
+                a = col_sgn * row[j]
+                if a > 0:
+                    # ratio b / a against best_b / best_a, both denominators > 0
+                    b = sgn * row[-1]
+                    lhs, rhs = b * best_a, best_b * a
+                    if leave_row < 0 or lhs < rhs or (
+                        lhs == rhs and self.basis[i] < self.basis[leave_row]
                     ):
-                        best = ratio
-                        leave_row = i
+                        leave_row, best_a, best_b = i, a, b
             if leave_row < 0:
                 raise ArithmeticError("unbounded linear program")
-            if best == 0:
+            if best_b == 0:
                 degenerate_streak += 1
                 if degenerate_streak > self._BLAND_AFTER:
                     bland = True
@@ -171,70 +221,48 @@ class _Simplex:
                 degenerate_streak = 0
             self._pivot(leave_row, enter)
 
-    def solve(self) -> tuple[Fraction, dict[int, Fraction], list[Fraction]]:
-        """Returns (phase1 residual, primal solution, dual of the rhs rows).
-
-        A positive residual means the equalities are unsatisfiable with
-        the given columns; the dual is then the phase-1 (Farkas) vector
-        certifying that fact instead of optimality.
-        """
-        phase1 = [0] * self.n + [1] * self.m
-        self._rebuild_cost_row(phase1)
-        self._iterate(allow_artificial=True)
-        residual = sum(
-            (
-                Fraction(self.tableau[i][-1], self.scale)
-                for i in self.active_rows
-                if self.basis[i] >= self.n
-            ),
-            _ZERO,
-        )
-        art_costs = 1
-        if residual == 0:
-            # Degenerate artificials: pivot out where possible, else the
-            # row is a redundant equation and drops out.
-            for i in list(self.active_rows):
-                if self.basis[i] < self.n:
-                    continue
-                pivot_col = -1
-                for j in range(self.n):
-                    if self.tableau[i][j]:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    self._pivot(i, pivot_col)
-                else:
-                    self.active_rows.remove(i)
-            art_costs = 0
-            self._rebuild_cost_row([1] * self.n + [0] * self.m)
-            self._iterate(allow_artificial=False)
-        solution = {
-            self.basis[i]: Fraction(self.tableau[i][-1], self.scale)
-            for i in self.active_rows
-            if self.basis[i] < self.n
-        }
-        # The artificial block records each tableau row as a combination of
-        # original rows, so these cells give a dual vector feasible for the
-        # full original system, dropped redundant rows included.
-        cost_row = self.tableau[-1]
-        duals = [
-            (art_costs - Fraction(cost_row[self.n + k], self.scale))
-            * self.row_sign[k]
-            for k in range(self.m)
+    def _duals(self) -> list[Fraction]:
+        """Dual of each original row, read off the artificial cells."""
+        c_art = 1 if self.phase == 1 else 0
+        n, d = self.n, self.scale
+        return [
+            (c_art - Fraction(self.cost[n + k], d)) * sign
+            for k, sign in enumerate(self.row_sign)
         ]
-        return residual, solution, duals
 
+    def solve(self) -> tuple[Fraction, dict[int, Fraction], list[Fraction]]:
+        """Resume from the kept basis.
 
-def _column_vector(
-    col: tuple[int, ...], row_index: dict[tuple[int, ...], int]
-) -> dict[int, int]:
-    vec: dict[int, int] = {}
-    for face, sign in BoundaryProblem.faces_of(col):
-        idx = row_index.get(face)
-        if idx is None:
-            raise ValueError(f"column {col} has face {face} outside the row family")
-        vec[idx] = sign
-    return vec
+        Returns (phase-1 residual, primal solution by split id, dual of the
+        rows).  A positive residual means the equalities are unsatisfiable
+        with the current columns; the dual is then the phase-1 (Farkas)
+        vector certifying that fact instead of optimality.
+        """
+        if self.phase == 1:
+            self._iterate()
+            if self.cost[-1]:
+                return Fraction(-self.cost[-1], self.scale), {}, self._duals()
+            self.phase = 2
+            d = self.scale
+            cost = [d] * self.n + [0] * (len(self.rows) + 1)
+            for var, row in zip(self.basis, self.rows):
+                if var < _ART:
+                    cost = [c - x for c, x in zip(cost, row)]
+            self.cost = cost
+        # a zero artificial leaves every row that some column now touches
+        for i, var in enumerate(self.basis):
+            if var >= _ART:
+                row = self.rows[i]
+                j = next((j for j in range(self.n) if row[j]), -1)
+                if j >= 0:
+                    self._pivot(i, 2 * j)
+        self._iterate()
+        solution = {
+            var: Fraction(row[-1], self.scale)
+            for var, row in zip(self.basis, self.rows)
+            if var < _ART
+        }
+        return _ZERO, solution, self._duals()
 
 
 def _price_support(
@@ -320,31 +348,41 @@ def min_l1_preimage(
         active_set = {
             col for col in problem.columns if set(col) <= support_vertices
         }
-    active = sorted(active_set)
 
+    simplex = _Simplex()
+    rows: dict[tuple[int, ...], int] = {}  # face -> simplex row, in order
+    active: list[tuple[int, ...]] = []  # simplex column order
+    new_columns = sorted(active_set)
+    touched: set[tuple[int, ...]] = set(z_int)
     rounds = 0
     while True:
         rounds += 1
         if rounds > max_rounds:
             raise ArithmeticError("column generation failed to converge")
-        touched: set[tuple[int, ...]] = set(z_int)
-        for col in active:
+        for col in new_columns:
             for face, _ in BoundaryProblem.faces_of(col):
+                if face not in row_set:
+                    raise ValueError(
+                        f"column {col} has face {face} outside the row family"
+                    )
                 touched.add(face)
-        rows = sorted(touched)
-        if len(rows) > lp_basis_cap:
+        if len(touched) > lp_basis_cap:
             raise CapExceeded(
-                f"restricted LP needs {len(rows)} rows (cap {lp_basis_cap})"
+                f"restricted LP needs {len(touched)} rows (cap {lp_basis_cap})"
             )
-        row_index = {tup: i for i, tup in enumerate(rows)}
-        rhs = [z_int.get(tup, 0) for tup in rows]
-        vectors = [_column_vector(col, row_index) for col in active]
-        split: list[dict[int, int]] = []
-        for vec in vectors:
-            split.append(vec)
-            split.append({i: -v for i, v in vec.items()})
-        residual, solution, dual_list = _Simplex(split, rhs).solve()
-        dual = {rows[i]: dual_list[i] for i in range(len(rows)) if dual_list[i]}
+        new_rows = sorted(touched.difference(rows))
+        for face in new_rows:
+            rows[face] = len(rows)
+        simplex.add_rows([z_int.get(face, 0) for face in new_rows])
+        simplex.add_columns(
+            [
+                {rows[face]: sign for face, sign in BoundaryProblem.faces_of(col)}
+                for col in new_columns
+            ]
+        )
+        active.extend(new_columns)
+        residual, solution, dual_list = simplex.solve()
+        dual = {face: y for face, y in zip(rows, dual_list) if y}
 
         priced_all = _price_support(dual, universe, column_set, active_set)
         if residual > 0:
@@ -356,16 +394,12 @@ def min_l1_preimage(
         else:
             priced = [(val, col) for val, col in priced_all if val > 1]
             if not priced:
-                coeffs: dict[tuple[int, ...], Fraction] = {}
-                for idx, value in solution.items():
-                    if not value:
-                        continue
-                    col = active[idx // 2]
-                    signed = value if idx % 2 == 0 else -value
-                    coeffs[col] = coeffs.get(col, _ZERO) + signed
-                chain = AltChain(
-                    problem.degree + 1, {k: v / scale for k, v in coeffs.items() if v}
-                )
+                coeffs = {
+                    active[var >> 1]: (-value if var & 1 else value) / scale
+                    for var, value in solution.items()
+                    if value
+                }
+                chain = AltChain(problem.degree + 1, coeffs)
                 check = chain.boundary()
                 if check != AltChain(
                     problem.degree, {k: Fraction(v, scale) for k, v in z_int.items()}
@@ -380,6 +414,5 @@ def min_l1_preimage(
                 return PreimageResult("optimal", chain, norm, dual, rounds, True)
 
         priced.sort(key=lambda pair: (-pair[0], pair[1]))
-        for _, col in priced[:batch]:
-            active_set.add(col)
-        active = sorted(active_set)
+        new_columns = sorted(col for _, col in priced[:batch])
+        active_set.update(new_columns)

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -21,7 +22,7 @@ from alignedchains.flatmate import (
     sample_window_cycles,
 )
 from alignedchains.lp import min_l1_preimage
-from alignedchains.trees import aligned_tuples, build_tree, path_tree
+from alignedchains.trees import aligned_tuples, build_tree, path_tree, regular_ball
 
 TRIPOD = build_tree([(0, 1), (0, 2), (0, 3)])
 
@@ -67,6 +68,19 @@ def test_flatmate_tuples_rejects_bad_size():
     p = ProductComplex(path_tree(2), path_tree(2))
     with pytest.raises(ValueError):
         flatmate_tuples(p, 0)
+
+
+def test_flatmate_tuples_leaves_no_garbage():
+    # a self-referencing closure would keep each call's lists and product
+    # alive until a full collection
+    p = ProductComplex(regular_ball(3, 1), path_tree(3))
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(flatmate_tuples(p, 3)) < len(list(combinations(range(12), 3)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_flatmate_exactness_small_products():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,10 +6,15 @@ from itertools import combinations
 import pytest
 
 from alignedchains.chains import AltChain
-from alignedchains.flatmate import aligned_boundary_problem
+from alignedchains.flatmate import (
+    ProductComplex,
+    aligned_boundary_problem,
+    hull_problem,
+    sample_window_cycles,
+)
 from alignedchains.limits import CapExceeded
 from alignedchains.lp import BoundaryProblem, min_l1_preimage
-from alignedchains.trees import build_tree
+from alignedchains.trees import build_tree, path_tree, regular_ball
 
 
 def full_problem(points: int, degree: int) -> BoundaryProblem:
@@ -18,6 +24,19 @@ def full_problem(points: int, degree: int) -> BoundaryProblem:
         tuple(combinations(ids, degree + 1)),
         tuple(combinations(ids, degree + 2)),
     )
+
+
+def tripod_hull_cases() -> list[tuple[BoundaryProblem, AltChain]]:
+    """Hull problems on regular_ball(3, 1) x path(3).
+
+    Window cycles have path hulls, where the flatmate filter keeps every
+    tuple; sums of two of them can span the whole tripod, where it does not.
+    """
+    p = ProductComplex(regular_ball(3, 1), path_tree(3))
+    rng = random.Random("hull-resume")
+    cycles = [z for z, _ in sample_window_cycles(p, 1, 5, rng)]
+    cycles += [a + b for a, b in combinations(cycles, 2)]
+    return [(hull_problem(p, 1, z), z) for z in cycles if not z.is_zero()]
 
 
 def test_faces_of_signs():
@@ -136,6 +155,26 @@ def test_warm_start_agrees_with_cold():
         assert cold.norm == warm.norm
 
 
+def test_resumed_rounds_match_default():
+    # warm_columns=[] starts infeasible, so each round resumes phase 1 after
+    # Farkas pricing and appends the rows its one new column touches;
+    # batch=1 from the default seed resumes phase 2 from the last optimum
+    cases = tripod_hull_cases()
+    filtered = 0
+    rounds = []
+    for problem, z in cases:
+        vertices = {v for row in problem.rows for v in row}
+        filtered += len(problem.columns) < math.comb(len(vertices), 3)
+        default = min_l1_preimage(problem, z)
+        from_farkas = min_l1_preimage(problem, z, warm_columns=[], batch=1)
+        one_by_one = min_l1_preimage(problem, z, batch=1)
+        assert default.ok and from_farkas.ok and one_by_one.ok
+        assert from_farkas.norm == default.norm == one_by_one.norm
+        rounds.append(from_farkas.rounds)
+    assert filtered > 0
+    assert max(rounds) > 1
+
+
 def test_duals_certify_optimum():
     problem = full_problem(5, 1)
     z = AltChain.from_tuples(
@@ -161,13 +200,7 @@ def test_scipy_cross_check():
     from scipy.optimize import linprog
 
     problem = full_problem(6, 1)
-    rows = {r: i for i, r in enumerate(problem.rows)}
-    cols = list(problem.columns)
-    mat = np.zeros((len(rows), 2 * len(cols)))
-    for j, col in enumerate(cols):
-        for face, sign in BoundaryProblem.faces_of(col):
-            mat[rows[face], 2 * j] = sign
-            mat[rows[face], 2 * j + 1] = -sign
+    cases = []
     rng = random.Random(23)
     for _ in range(12):
         picked = [tuple(sorted(rng.sample(range(6), 3))) for _ in range(3)]
@@ -176,6 +209,15 @@ def test_scipy_cross_check():
         ).boundary()
         if z.is_zero():
             continue
+        cases.append((problem, z))
+    for problem, z in cases + tripod_hull_cases():
+        rows = {r: i for i, r in enumerate(problem.rows)}
+        cols = list(problem.columns)
+        mat = np.zeros((len(rows), 2 * len(cols)))
+        for j, col in enumerate(cols):
+            for face, sign in BoundaryProblem.faces_of(col):
+                mat[rows[face], 2 * j] = sign
+                mat[rows[face], 2 * j + 1] = -sign
         exact = min_l1_preimage(problem, z)
         assert exact.ok and exact.certified
         rhs = np.zeros(len(rows))
