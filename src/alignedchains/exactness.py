@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from itertools import chain, combinations, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .limits import DEFAULT_DIM_CAP, CapExceeded
 from .trees import Tree, aligned_tuples
@@ -171,8 +171,8 @@ def verify_exactness(
 
     `basis_enumerator(size)` may replace the default enumeration (all
     size-subsets of `vertices` filtered by `membership`); it must yield
-    canonical tuples of a face-closed family, which is validated while the
-    boundary columns are assembled.
+    canonical tuples of a face-closed family, which is validated on every
+    tuple of every basis before any record is returned.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -187,20 +187,38 @@ def verify_exactness(
             raise CapExceeded(f"{len(b)} basis tuples at size {size} exceed cap {dim_cap}")
         bases.append(b)
 
-    def boundary_columns(k: int) -> Iterable[dict[int, int]]:
+    row_indices = [{tup: i for i, tup in enumerate(b)} for b in bases[:-1]]
+
+    def check_faces(k: int, tuples: Iterable[tuple[int, ...]]) -> None:
+        """Raise unless every face of every tuple is a row of degree k-1."""
+        rows = row_indices[k - 1]
+        tuples = list(tuples)
+        faces = chain.from_iterable(map(combinations, tuples, repeat(k)))
+        if all(map(rows.__contains__, faces)):
+            return
+        tup, face = next(
+            (tup, face)
+            for tup in tuples
+            for face in combinations(tup, k)
+            if face not in rows
+        )
+        raise ValueError(
+            f"membership is not closed under faces: {face} missing (face of {tup})"
+        )
+
+    def boundary_columns(
+        k: int, tuples: Iterable[tuple[int, ...]]
+    ) -> Iterator[dict[int, int]]:
         """Columns of the boundary from degree k to degree k-1."""
-        row_index = {tup: i for i, tup in enumerate(bases[k - 1])}
-        for tup in bases[k]:
-            col: dict[int, int] = {}
-            for j in range(len(tup)):
-                face = tup[:j] + tup[j + 1 :]
-                idx = row_index.get(face)
-                if idx is None:
-                    raise ValueError(
-                        f"membership is not closed under faces: {face} missing "
-                        f"(face of {tup})"
-                    )
-                col[idx] = -1 if j % 2 else 1
+        rows = row_indices[k - 1]
+        # combinations(tup, k) drops the last entry first, the first last.
+        signs = [-1 if j % 2 else 1 for j in range(k, -1, -1)]
+        for tup in tuples:
+            try:
+                col = dict(zip(map(rows.__getitem__, combinations(tup, k)), signs))
+            except KeyError:
+                check_faces(k, [tup])  # raises, naming the missing face
+                raise
             yield col
 
     results: list[DegreeExactness] = []
@@ -210,11 +228,17 @@ def verify_exactness(
         # The target is a proven upper bound (boundary of boundary is
         # zero), so hitting it early still reports the true rank, and a
         # mod-p rank that hits it is the rational rank.
+        tuples = iter(bases[n + 1])
         image_rank = rank_of_columns(
-            boundary_columns(n + 1), target=kernel_dim, modulus=PRIME
+            boundary_columns(n + 1, tuples), target=kernel_dim, modulus=PRIME
         )
+        # That bound needs a face-closed family, so the tuples the early
+        # stop left unread are checked too.
+        check_faces(n + 1, tuples)
         if PRIME is not None and image_rank < kernel_dim:
-            image_rank = rank_of_columns(boundary_columns(n + 1), target=kernel_dim)
+            image_rank = rank_of_columns(
+                boundary_columns(n + 1, bases[n + 1]), target=kernel_dim
+            )
         results.append(
             DegreeExactness(
                 degree=n,

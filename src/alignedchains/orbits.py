@@ -10,7 +10,10 @@ in opposite bipartition classes.
 
 Witnesses are explicit partial isometries built spine-to-spine and then
 extended one step outward, so a successful witness certifies membership in
-one orbit at finite scale.
+one orbit at finite scale.  The extension needs no distance search: the
+spine is connected, so sending each off-spine neighbor to any unused
+neighbor of its anchor's image keeps every distance.  `validate` on the
+final map, which does not trust that argument, is the certificate.
 """
 
 from __future__ import annotations
@@ -20,13 +23,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .chains import canonicalize_tuple
-from .trees import (
-    PartialIsometry,
-    Tree,
-    extend_partial_isometry,
-    geodesic,
-    is_aligned,
-)
+from .trees import PartialIsometry, Tree, geodesic, is_aligned
 
 
 @dataclass(frozen=True)
@@ -130,23 +127,41 @@ def orbit_witness(
     Equal signatures guarantee the spine map itself; the witness also
     extends it to the neighbors of the spine, which certifies one further
     step of rigidity and fails (distinctly) near the boundary of a ball
-    that is too small.  In type-preserving mode every displacement of the
-    returned map is even.
+    that is too small.  The off-spine neighbors are visited in ascending
+    id, each taking the lowest unused neighbor of its anchor's image, with
+    no distance search; the final map is then validated, so the returned
+    isometry is checked independently of how it was built.  This is the
+    map `extend_partial_isometry` builds from the same spine seed.  In
+    type-preserving mode every displacement of the returned map is even.
     """
     sig_x, spine_x = _signature_data(t, x, type_preserving)
     sig_y, spine_y = _signature_data(t, y, type_preserving)
     if sig_x.class_key != sig_y.class_key:
         return WitnessResult("signature_mismatch", None)
-    seed = dict(zip(spine_x, spine_y))
-    targets = set(spine_x)
-    for v in spine_x:
-        targets.update(t.adjacency[v])
-    extended = extend_partial_isometry(t, seed, targets)
-    if extended is None:
-        return WitnessResult("ball_too_small", None)
-    if type_preserving and not extended.has_even_displacement(t):
+    return _spine_witness(t, spine_x, spine_y, type_preserving)
+
+
+def _spine_witness(
+    t: Tree, spine_x: Sequence[int], spine_y: Sequence[int], type_preserving: bool
+) -> WitnessResult:
+    """Witness for two canonical spines of one signature class."""
+    mapping = dict(zip(spine_x, spine_y))
+    used = set(spine_y)
+    # A tree has no cycles, so each off-spine neighbor has one spine anchor.
+    off_spine = sorted(
+        (w, v) for v in spine_x for w in t.adjacency[v] if w not in mapping
+    )
+    for w, anchor in off_spine:
+        image = next((c for c in t.adjacency[mapping[anchor]] if c not in used), None)
+        if image is None:
+            return WitnessResult("ball_too_small", None)
+        mapping[w] = image
+        used.add(image)
+    witness = PartialIsometry(mapping)
+    witness.validate(t)
+    if type_preserving and not witness.has_even_displacement(t):
         raise RuntimeError("type-preserving witness produced an odd displacement")
-    return WitnessResult("ok", extended)
+    return WitnessResult("ok", witness)
 
 
 @dataclass(frozen=True)
@@ -195,7 +210,8 @@ def orbit_class_census(
 ) -> CensusReport:
     """Enumerate aligned tuples near the root, bucket them by signature,
     and certify each bucket as one orbit by witnessing every member
-    against the bucket's first member.
+    against the bucket's first member.  Each tuple's signature and spine
+    are computed once, and the witness works on the spines directly.
 
     Tuples keep all coordinates within distance diameter_cap + 1 of the
     root and have spine length at most diameter_cap.
@@ -218,31 +234,28 @@ def orbit_class_census(
             interior = geodesic(t, u, v)[1:-1]
             for combo in combinations(interior, size - 2):
                 tuples.append(tuple(sorted((u, v) + combo)))
-    buckets: dict[tuple, list[tuple[int, ...]]] = {}
+    # key -> [representative spine, size, witnessed]; members are
+    # witnessed as they arrive, so no member list is kept.
+    classes: dict[tuple, list] = {}
+    too_small = 0
     for tup in sorted(tuples):
-        key = aligned_signature(t, tup, type_preserving).class_key
-        buckets.setdefault(key, []).append(tup)
+        sig, spine = _signature_data(t, tup, type_preserving)
+        entry = classes.setdefault(sig.class_key, [spine, 0, True])
+        entry[1] += 1
+        result = _spine_witness(t, entry[0], spine, type_preserving)
+        if not result.ok:  # within one class only "ball_too_small"
+            entry[2] = False
+            too_small += 1
 
     def bucket_order(key: tuple) -> tuple:
         type_bit, gaps = key
         return (gaps, -1 if type_bit is None else type_bit)
 
     records = []
-    too_small = 0
-    for key in sorted(buckets, key=bucket_order):
-        members = buckets[key]
-        rep = members[0]
-        witnessed = True
-        for member in members:
-            result = orbit_witness(t, rep, member, type_preserving)
-            if not result.ok:
-                witnessed = False
-                if result.status == "ball_too_small":
-                    too_small += 1
+    for key in sorted(classes, key=bucket_order):
+        _, count, witnessed = classes[key]
         records.append(
-            OrbitClassRecord(
-                type_bit=key[0], gaps=key[1], size=len(members), witnessed=witnessed
-            )
+            OrbitClassRecord(type_bit=key[0], gaps=key[1], size=count, witnessed=witnessed)
         )
     return CensusReport(
         degree=degree,

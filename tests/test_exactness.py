@@ -73,6 +73,13 @@ def test_membership_must_be_face_closed():
         verify_exactness(range(4), 1, membership)
 
 
+def test_face_closure_checked_past_the_early_stop():
+    # (3, 4) is missing, but the triples that have it as a face come after
+    # the elimination has already reached its kernel-dimension bound
+    with pytest.raises(ValueError, match="closed under faces"):
+        verify_exactness(range(5), 1, lambda tup: tup != (3, 4))
+
+
 def test_dim_cap_enforced():
     with pytest.raises(CapExceeded):
         full_exactness(40, 3, dim_cap=1000)

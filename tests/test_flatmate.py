@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -103,19 +104,34 @@ def test_hull_problem_validation():
 
 def test_hull_problem_matches_global_minimum():
     # the hull restriction must not change the minimal filling norm,
-    # including over a factor whose hulls are genuine tripods
+    # including over a factor whose hulls are genuine tripods; window
+    # cycles have path hulls, so sums of two of them reach the tripod
     cases = [
         ProductComplex(path_tree(3), path_tree(4)),
         ProductComplex(TRIPOD, path_tree(3)),
     ]
+    filtered = 0
     for idx, p in enumerate(cases):
         rng = random.Random(f"hull-check:{idx}")
         global_problem = flatmate_boundary_problem(p, 1)
-        for z, witness in sample_window_cycles(p, 1, 8, rng):
+        samples = sample_window_cycles(p, 1, 8, rng)
+        for z, witness in samples:
             local = min_l1_preimage(hull_problem(p, 1, z), z, warm_columns=witness)
             whole = min_l1_preimage(global_problem, z, warm_columns=witness)
             assert local.ok and whole.ok
             assert local.norm == whole.norm
+        for (a, _), (b, _) in combinations(samples, 2):
+            z = a + b
+            if z.is_zero():
+                continue
+            problem = hull_problem(p, 1, z)
+            window = {v for row in problem.rows for v in row}
+            filtered += len(problem.columns) < math.comb(len(window), 3)
+            local = min_l1_preimage(problem, z)
+            whole = min_l1_preimage(global_problem, z)
+            assert local.ok and whole.ok
+            assert local.norm == whole.norm
+    assert filtered > 0
 
 
 def test_hull_problem_window_is_small():

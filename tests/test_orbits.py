@@ -2,8 +2,20 @@ from itertools import combinations
 
 import pytest
 
-from alignedchains.orbits import aligned_signature, orbit_class_census, orbit_witness
-from alignedchains.trees import build_tree, is_aligned, path_tree, regular_ball
+from alignedchains.orbits import (
+    _signature_data,
+    aligned_signature,
+    orbit_class_census,
+    orbit_witness,
+)
+from alignedchains.trees import (
+    aligned_tuples,
+    build_tree,
+    extend_partial_isometry,
+    is_aligned,
+    path_tree,
+    regular_ball,
+)
 
 
 def test_signature_requires_aligned_distinct():
@@ -105,6 +117,35 @@ def test_witness_signature_invariance_on_subtuples():
         )
 
 
+@pytest.mark.parametrize("tree", [regular_ball(3, 4), path_tree(4)])
+def test_witness_matches_greedy_extension(tree):
+    # the search-free extension builds the map the distance-checking
+    # greedy builds from the same spine seed, and fails where it fails
+    statuses = set()
+    for degree in (1, 2):
+        for type_preserving in (True, False):
+            reps: dict[tuple, tuple[int, ...]] = {}
+            for tup in aligned_tuples(tree, degree + 1):
+                key = aligned_signature(tree, tup, type_preserving).class_key
+                rep = reps.setdefault(key, tup)
+                _, spine_x = _signature_data(tree, rep, type_preserving)
+                _, spine_y = _signature_data(tree, tup, type_preserving)
+                targets = set(spine_x)
+                for v in spine_x:
+                    targets.update(tree.adjacency[v])
+                greedy = extend_partial_isometry(
+                    tree, dict(zip(spine_x, spine_y)), targets
+                )
+                result = orbit_witness(tree, rep, tup, type_preserving)
+                if greedy is None:
+                    assert result.status == "ball_too_small", (rep, tup)
+                else:
+                    assert result.ok, (rep, tup, result.status)
+                    assert result.isometry.mapping == greedy.mapping
+                statuses.add(result.status)
+    assert statuses == {"ok", "ball_too_small"}
+
+
 def test_census_vertices():
     t = regular_ball(3, 4)
     tp = orbit_class_census(t, 0, 2)
@@ -134,3 +175,20 @@ def test_census_records_sizes_add_up():
     for rec in rep.classes:
         data = rec.to_record()
         assert set(data) == {"type_bit", "gaps", "size", "witnessed"}
+
+
+def test_census_counts_ball_too_small():
+    # the root's class holds the leaves, whose single neighbour cannot
+    # receive the root's three
+    t = regular_ball(3, 2)
+    census = orbit_class_census(t, 0, 1)
+    members: dict[tuple, list[tuple[int, ...]]] = {}
+    for v in t.vertices():
+        members.setdefault(aligned_signature(t, (v,)).class_key, []).append((v,))
+    expected = sum(
+        orbit_witness(t, group[0], tup).status == "ball_too_small"
+        for group in members.values()
+        for tup in group
+    )
+    assert census.ball_too_small == expected > 0
+    assert not census.all_witnessed
