@@ -66,10 +66,7 @@ class ExperimentConfig:
     format: str = "json"
 
     def echo(self) -> dict:
-        data = {k: v for k, v in self.__dict__.items() if v is not None}
-        if self.path_family is not None:
-            data["path_family"] = list(self.path_family)
-        return data
+        return {k: v for k, v in self.__dict__.items() if v is not None}
 
     def validate(self) -> None:
         if self.format not in ("json", "csv"):

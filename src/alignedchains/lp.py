@@ -56,16 +56,10 @@ class PreimageResult:
     norm: Fraction | None
     dual: dict[tuple[int, ...], Fraction] | None
     rounds: int
-    certified: bool
 
     @property
     def ok(self) -> bool:
         return self.status == "optimal"
-
-    def norm_record(self) -> tuple[int, int]:
-        if self.norm is None:
-            raise ValueError("no norm on an infeasible result")
-        return self.norm.numerator, self.norm.denominator
 
 
 _ART = 1 << 62  # id of row 0's artificial; row i's is _ART + i
@@ -330,9 +324,7 @@ def min_l1_preimage(
     elif z.augmentation() != 0:
         raise ValueError("z has nonzero augmentation")
     if z.is_zero():
-        return PreimageResult(
-            "optimal", AltChain.zero(z.degree + 1), _ZERO, {}, 0, True
-        )
+        return PreimageResult("optimal", AltChain.zero(z.degree + 1), _ZERO, {}, 0)
 
     scale = math.lcm(*(coeff.denominator for coeff in z.terms.values()))
     z_int = {key: int(coeff * scale) for key, coeff in z.terms.items()}
@@ -390,7 +382,7 @@ def min_l1_preimage(
             # annihilate can still reduce the infeasibility.
             priced = [(val, col) for val, col in priced_all if val > 0]
             if not priced:
-                return PreimageResult("infeasible", None, None, dual, rounds, True)
+                return PreimageResult("infeasible", None, None, dual, rounds)
         else:
             priced = [(val, col) for val, col in priced_all if val > 1]
             if not priced:
@@ -411,7 +403,7 @@ def min_l1_preimage(
                 )
                 if dual_obj != norm * scale:
                     raise AssertionError("strong duality failed on exact data")
-                return PreimageResult("optimal", chain, norm, dual, rounds, True)
+                return PreimageResult("optimal", chain, norm, dual, rounds)
 
         priced.sort(key=lambda pair: (-pair[0], pair[1]))
         new_columns = sorted(col for _, col in priced[:batch])

@@ -19,11 +19,10 @@ final map, which does not trust that argument, is the certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .chains import canonicalize_tuple
-from .trees import PartialIsometry, Tree, geodesic, is_aligned
+from .trees import PartialIsometry, Tree, aligned_tuples, diametral_pair, geodesic
 
 
 @dataclass(frozen=True)
@@ -54,18 +53,12 @@ def _signature_data(
     x = tuple(tup)
     if len(set(x)) != len(x):
         raise ValueError("signature needs pairwise distinct entries")
-    if not is_aligned(t, x):
+    ends = diametral_pair(t, x)
+    if ends is None:
         raise ValueError("signature is defined for aligned tuples only")
     parity = lambda v: t.distance(0, v) % 2
-    if len(x) == 1:
-        sig = AlignedSignature(parity(x[0]) if type_preserving else None, (), 1)
-        return sig, [x[0]]
-
-    # Extremal pair; lowest ids on ties so the forward form is stable.
-    end_a, end_b = min(
-        ((a, b) for a, b in combinations(sorted(x), 2)),
-        key=lambda pair: (-t.distance(pair[0], pair[1]), pair),
-    )
+    # Distinct aligned entries have one extremal pair; read it lowest id first.
+    end_a, end_b = ends
     dist_a = t.distances_from(end_a)
     total = dist_a[end_b]
     order_f = tuple(sorted(range(len(x)), key=lambda k: dist_a[x[k]]))
@@ -213,32 +206,23 @@ def orbit_class_census(
     against the bucket's first member.  Each tuple's signature and spine
     are computed once, and the witness works on the spines directly.
 
-    Tuples keep all coordinates within distance diameter_cap + 1 of the
-    root and have spine length at most diameter_cap.
+    The tuples are `aligned_tuples` restricted to the ball of radius
+    diameter_cap + 1 about `root`, with spine length at most diameter_cap.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
     if diameter_cap < degree:
         raise ValueError("diameter cap below minimal spine length for the degree")
+    if not 0 <= root < t.vertex_count:
+        raise ValueError(f"root {root} is not a vertex of the tree")
     droot = t.distances_from(root)
     region = [v for v in t.vertices() if droot[v] <= diameter_cap + 1]
-    size = degree + 1
-    tuples: list[tuple[int, ...]] = []
-    if size == 1:
-        tuples = [(v,) for v in region]
-    else:
-        for u, v in combinations(region, 2):
-            d = t.distance(u, v)
-            if d < size - 1 or d > diameter_cap:
-                continue
-            interior = geodesic(t, u, v)[1:-1]
-            for combo in combinations(interior, size - 2):
-                tuples.append(tuple(sorted((u, v) + combo)))
+    tuples = aligned_tuples(t, degree + 1, vertices=region, max_length=diameter_cap)
     # key -> [representative spine, size, witnessed]; members are
     # witnessed as they arrive, so no member list is kept.
     classes: dict[tuple, list] = {}
     too_small = 0
-    for tup in sorted(tuples):
+    for tup in tuples:
         sig, spine = _signature_data(t, tup, type_preserving)
         entry = classes.setdefault(sig.class_key, [spine, 0, True])
         entry[1] += 1

@@ -17,19 +17,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .chains import AltChain, Rational
-from .trees import Tree, geodesic
-
-
-def _segment_offsets(
-    t: Tree, seg: list[int], u: int, v: int, points: Sequence[int]
-) -> list[int]:
-    """Offset along [u, v] of the nearest point to each entry of `points`."""
-    length = len(seg) - 1
-    out = []
-    for w in points:
-        dw = t.distances_from(w)
-        out.append((dw[u] + length - dw[v]) // 2)
-    return out
+from .trees import Tree, geodesic, segment_offsets
 
 
 def project_tuple(t: Tree, tup: Sequence[int]) -> AltChain:
@@ -46,7 +34,7 @@ def project_tuple(t: Tree, tup: Sequence[int]) -> AltChain:
         if u == v:
             continue
         seg = geodesic(t, u, v)
-        offsets = _segment_offsets(t, seg, u, v, x)
+        offsets = segment_offsets(t, u, v, len(seg) - 1, x)
         pairs.append((tuple(seg[o] for o in offsets), 1))
     if not pairs:
         return AltChain.zero(n)
@@ -96,7 +84,7 @@ def caterpillar_layout(
     if u == v:
         return None
     seg = geodesic(t, u, v)
-    offsets = _segment_offsets(t, seg, u, v, x)
+    offsets = segment_offsets(t, u, v, len(seg) - 1, x)
     if len(set(offsets)) != len(x):
         return None
     order = tuple(sorted(range(len(x)), key=offsets.__getitem__))

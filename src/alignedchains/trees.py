@@ -236,17 +236,25 @@ def geodesic(t: Tree, u: int, v: int) -> list[int]:
     return path
 
 
+def segment_offsets(
+    t: Tree, u: int, v: int, length: int, points: Iterable[int]
+) -> list[int]:
+    """Offset from u of the nearest point on [u, v] to each of `points`.
+
+    `length` is d(u, v).  The nearest point to w sits where the geodesics
+    from w to u and to v part, at (d(w, u) + d(u, v) - d(w, v)) / 2 from u.
+    """
+    out = []
+    for w in points:
+        dw = t.distances_from(w)
+        out.append((dw[u] + length - dw[v]) // 2)
+    return out
+
+
 def project_to_segment(t: Tree, w: int, u: int, v: int) -> int:
     """Nearest point to w on the segment [u, v]."""
     duv = t.distance(u, v)
-    dwu = t.distances_from(w)[u]
-    dwv = t.distances_from(w)[v]
-    # Offset of the meet point from u along [u, v].
-    offset = (dwu + duv - dwv) // 2
-    if offset == 0:
-        return u
-    if offset == duv:
-        return v
+    (offset,) = segment_offsets(t, u, v, duv, (w,))
     return geodesic(t, u, v)[offset]
 
 
@@ -273,11 +281,16 @@ def convex_hull(t: Tree, tup: Sequence[int]) -> ConvexHull:
     return ConvexHull(frozenset(verts), frozenset(leaves))
 
 
-def is_aligned(t: Tree, tup: Sequence[int]) -> bool:
-    """True when all entries lie on one geodesic segment."""
+def diametral_pair(t: Tree, tup: Sequence[int]) -> tuple[int, int] | None:
+    """Sorted ends of the one segment holding every entry, or None when the
+    entries are not aligned.
+
+    The ends are the farthest-apart pair of entries; on an aligned tuple
+    with distinct entries that pair is unique.  One entry gives (v, v).
+    """
     points = list(dict.fromkeys(tup))
     if len(points) <= 2:
-        return True
+        return min(points), max(points)
     best = (0, points[0], points[0])
     for a, b in combinations(points, 2):
         d = t.distance(a, b)
@@ -286,26 +299,46 @@ def is_aligned(t: Tree, tup: Sequence[int]) -> bool:
     dmax, a, b = best
     da = t.distances_from(a)
     db = t.distances_from(b)
-    return all(da[p] + db[p] == dmax for p in points)
+    if any(da[p] + db[p] != dmax for p in points):
+        return None
+    return (a, b) if a < b else (b, a)
 
 
-def aligned_tuples(t: Tree, size: int) -> list[tuple[int, ...]]:
+def is_aligned(t: Tree, tup: Sequence[int]) -> bool:
+    """True when all entries lie on one geodesic segment."""
+    return not tup or diametral_pair(t, tup) is not None
+
+
+def aligned_tuples(
+    t: Tree,
+    size: int,
+    *,
+    vertices: Iterable[int] | None = None,
+    max_length: int | None = None,
+) -> list[tuple[int, ...]]:
     """All canonical (sorted, distinct) aligned tuples with `size` entries.
 
-    Each aligned vertex set is generated once, from its extremal pair.
+    Each aligned vertex set is generated once, from its extremal pair,
+    reading one distance row per first end.  `vertices` keeps only tuples
+    whose entries all lie in that subset, and `max_length` only those whose
+    extremal pair is at most that far apart.  Pairs need no geodesic.
     """
     if size < 1:
         raise ValueError("size must be positive")
+    ids = t.vertices() if vertices is None else sorted(set(vertices))
     if size == 1:
-        return [(v,) for v in t.vertices()]
+        return [(v,) for v in ids]
+    inside = None if vertices is None else set(ids)
+    longest = t.vertex_count if max_length is None else max_length
     out: list[tuple[int, ...]] = []
-    n = t.vertex_count
-    for u in range(n):
+    for k, u in enumerate(ids):
         du = t.distances_from(u)
-        for v in range(u + 1, n):
-            if du[v] < size - 1:
+        for v in ids[k + 1 :]:
+            if not size - 1 <= du[v] <= longest:
                 continue
-            interior = geodesic(t, u, v)[1:-1]
+            interior = geodesic(t, u, v)[1:-1] if size > 2 else []
+            if inside is not None:
+                interior = [w for w in interior if w in inside]
             for combo in combinations(interior, size - 2):
                 out.append(tuple(sorted((u, v) + combo)))
     out.sort()

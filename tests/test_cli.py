@@ -185,6 +185,14 @@ def test_config_errors_exit_two(workdir, capsys):
         assert capsys.readouterr().err.strip()
 
 
+def test_orbit_report_root_outside_tree_exits_two(workdir, capsys):
+    for root in ("999", "-1"):
+        argv = ["orbit-report", "--regular", "3", "--radius", "2", "--root", root]
+        assert main(argv) == 2, argv
+        assert "config error" in capsys.readouterr().err
+    assert not (workdir / "orbit-report-report.json").exists()
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

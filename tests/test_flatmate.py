@@ -23,7 +23,13 @@ from alignedchains.flatmate import (
     sample_window_cycles,
 )
 from alignedchains.lp import min_l1_preimage
-from alignedchains.trees import aligned_tuples, build_tree, path_tree, regular_ball
+from alignedchains.trees import (
+    aligned_tuples,
+    build_tree,
+    convex_hull,
+    path_tree,
+    regular_ball,
+)
 
 TRIPOD = build_tree([(0, 1), (0, 2), (0, 3)])
 
@@ -82,6 +88,34 @@ def test_flatmate_tuples_leaves_no_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_flatmate_tuples_over_hull_windows_match_brute_force():
+    # summed window cycles have hulls that span the tripod, where the
+    # flatmate filter drops tuples
+    p = ProductComplex(TRIPOD, path_tree(3))
+    rng = random.Random("hull-resume")
+    cycles = [z for z, _ in sample_window_cycles(p, 1, 5, rng)]
+    cycles += [a + b for a, b in combinations(cycles, 2)]
+    dropped = 0
+    for z in cycles:
+        if z.is_zero():
+            continue
+        coords = [p.decode(v) for key in z.terms for v in key]
+        h1 = convex_hull(p.factor1, [a for a, _ in coords]).vertices
+        h2 = convex_hull(p.factor2, [b for _, b in coords]).vertices
+        window = sorted(p.encode(a, b) for a in h1 for b in h2)
+        brute = {
+            size: [tup for tup in combinations(window, size) if is_flatmate(p, tup)]
+            for size in (1, 2, 3, 4)
+        }
+        for size, expected in brute.items():
+            assert flatmate_tuples(p, size, vertices=window[::-1]) == expected
+            dropped += len(expected) < math.comb(len(window), size)
+        problem = hull_problem(p, 1, z)
+        assert problem.rows == tuple(brute[2])
+        assert problem.columns == tuple(brute[3])
+    assert dropped > 0
 
 
 def test_flatmate_exactness_small_products():

@@ -192,3 +192,12 @@ def test_census_counts_ball_too_small():
     )
     assert census.ball_too_small == expected > 0
     assert not census.all_witnessed
+
+
+def test_census_rejects_root_outside_tree():
+    t = regular_ball(3, 2)
+    for root in (t.vertex_count, 999, -1):
+        with pytest.raises(ValueError, match="root"):
+            orbit_class_census(t, 1, 2, root=root)
+    # a negative root must not be read as a vertex from the end
+    assert set(t._dist_cache) <= set(t.vertices())

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from alignedchains.trees import (
     aligned_tuples,
     build_tree,
     convex_hull,
+    diametral_pair,
     extend_partial_isometry,
     geodesic,
     is_aligned,
@@ -16,6 +19,7 @@ from alignedchains.trees import (
     project_to_segment,
     random_tree,
     regular_ball,
+    segment_offsets,
     tree_from_pruefer,
 )
 
@@ -128,6 +132,27 @@ def test_is_aligned():
     assert is_aligned(p, (0, 3, 6, 1))
 
 
+def test_segment_offsets_meet_the_geodesic():
+    t = random_tree(15, "offsets")
+    for u, v in ((0, 14), (3, 9), (5, 5)):
+        seg = geodesic(t, u, v)
+        offsets = segment_offsets(t, u, v, len(seg) - 1, t.vertices())
+        for w, off in zip(t.vertices(), offsets):
+            # the meet point is the segment point nearest to w
+            dw = t.distances_from(w)
+            assert dw[seg[off]] == min(dw[s] for s in seg)
+            assert project_to_segment(t, w, u, v) == seg[off]
+
+
+def test_diametral_pair():
+    t = tripod()
+    assert diametral_pair(t, (2, 0, 1)) == (1, 2)
+    assert diametral_pair(t, (1, 2, 3)) is None
+    assert diametral_pair(t, (3,)) == (3, 3)
+    assert diametral_pair(t, (3, 1, 3)) == (1, 3)
+    assert diametral_pair(path_tree(7), (4, 0, 6, 1)) == (0, 6)
+
+
 def test_aligned_tuples_counts():
     t = tripod()
     # pairs are all aligned; of the four triples only those through 0
@@ -145,6 +170,41 @@ def test_aligned_tuples_no_duplicates():
     assert len(tuples) == len(set(tuples))
     assert all(is_aligned(t, tup) for tup in tuples)
     assert all(tup == tuple(sorted(tup)) for tup in tuples)
+
+
+def brute_aligned(t, size, region, cap):
+    """Oracle: every sorted tuple of the region, filtered."""
+    return [
+        tup
+        for tup in combinations(sorted(region), size)
+        if is_aligned(t, tup)
+        and max(t.distance(a, b) for a in tup for b in tup) <= cap
+    ]
+
+
+@pytest.mark.parametrize(
+    "t, root",
+    [
+        (regular_ball(3, 3), 0),
+        (regular_ball(3, 3), 7),
+        (random_tree(30, "restrict"), 11),
+    ],
+)
+def test_aligned_tuples_restricted_match_brute_force(t, root):
+    droot = t.distances_from(root)
+    regions = [
+        [v for v in t.vertices() if droot[v] <= 3],
+        # not convex: geodesic interiors leave it
+        [v for v in t.vertices() if droot[v] <= 4 and v % 3],
+    ]
+    for region in regions:
+        for cap in (1, 2, 3, t.vertex_count):
+            for size in (1, 2, 3, 4):
+                got = aligned_tuples(t, size, vertices=region, max_length=cap)
+                assert got == brute_aligned(t, size, region, cap)
+    unrestricted = aligned_tuples(t, 3)
+    assert aligned_tuples(t, 3, vertices=reversed(t.vertices())) == unrestricted
+    assert aligned_tuples(t, 3, max_length=t.vertex_count) == unrestricted
 
 
 def test_partial_isometry_validate():
