@@ -4,8 +4,12 @@ Every subcommand reads its inputs from flags, runs the corresponding
 library routine, writes exactly one report file, and prints one summary
 line.  Exit status is 0 when every checked assertion held, 1 when some
 assertion failed (the report carries the details), and 2 on bad config
-or a resource cap.  Randomized commands require --seed, and a repeated
-run with identical flags reproduces the report payload byte for byte.
+or a resource cap.  A broken internal invariant (a `RuntimeError`,
+`AssertionError` or `ArithmeticError` from the run, such as a witness
+that fails its own certificate) also exits 1, with a report whose summary
+has `passed: false` and an `internal_error` naming the breach.
+Randomized commands require --seed, and a repeated run with identical
+flags reproduces the report payload byte for byte.
 """
 
 from __future__ import annotations
@@ -251,7 +255,12 @@ def run(cfg: ExperimentConfig) -> int:
     """Execute one configured command; returns the process exit status."""
     try:
         cfg.validate()
-        rows, summary, ok = RUNNERS[cfg.command](cfg)
+        try:
+            rows, summary, ok = RUNNERS[cfg.command](cfg)
+        except (RuntimeError, AssertionError, ArithmeticError) as exc:
+            breach = f"{type(exc).__name__}: {exc}"
+            print(f"{cfg.command}: internal error: {breach}", file=sys.stderr)
+            rows, summary, ok = [], {"internal_error": breach}, False
         summary["passed"] = ok
         report = Report(cfg.command, cfg.echo(), rows, summary)
         path = cfg.output_path()

@@ -62,10 +62,11 @@ def is_flatmate(p: ProductComplex, tup: Sequence[int]) -> bool:
     )
 
 
-def flatmate_tuples(
-    p: ProductComplex, size: int, *, vertices: Iterable[int] | None = None
-) -> list[tuple[int, ...]]:
-    """All canonical flatmate tuples with `size` entries, sorted.
+def _flatmate_levels(
+    p: ProductComplex, size: int, vertices: Iterable[int] | None = None
+) -> list[list[tuple[int, ...]]]:
+    """Canonical flatmate tuples of every size 1..size, sorted, one list
+    per size: entry k holds the tuples with k + 1 entries.
 
     `vertices` keeps only tuples whose entries all lie in that subset of
     product vertex ids.  Flatmate-ness is monotone under subtuples, so
@@ -76,15 +77,25 @@ def flatmate_tuples(
         raise ValueError("size must be positive")
     ids = p.vertices() if vertices is None else sorted(set(vertices))
     after = {v: k + 1 for k, v in enumerate(ids)}
-    level = [(v,) for v in ids]
+    levels = [[(v,) for v in ids]]
     for length in range(2, size + 1):
-        level = [
-            tup + (v,)
-            for tup in level
-            for v in ids[after[tup[-1]] :]
-            if length <= 2 or is_flatmate(p, tup + (v,))
-        ]
-    return level
+        levels.append(
+            [
+                tup + (v,)
+                for tup in levels[-1]
+                for v in ids[after[tup[-1]] :]
+                if length <= 2 or is_flatmate(p, tup + (v,))
+            ]
+        )
+    return levels
+
+
+def flatmate_tuples(
+    p: ProductComplex, size: int, *, vertices: Iterable[int] | None = None
+) -> list[tuple[int, ...]]:
+    """All canonical flatmate tuples with `size` entries, sorted; the last
+    level of `_flatmate_levels`, whose restriction it takes."""
+    return _flatmate_levels(p, size, vertices)[-1]
 
 
 def flatmate_exactness(
@@ -101,11 +112,8 @@ def flatmate_exactness(
 
 def flatmate_boundary_problem(p: ProductComplex, degree: int) -> BoundaryProblem:
     """Boundary data rows=flatmate (degree+1)-tuples, columns one up."""
-    return BoundaryProblem(
-        degree,
-        tuple(flatmate_tuples(p, degree + 1)),
-        tuple(flatmate_tuples(p, degree + 2)),
-    )
+    levels = _flatmate_levels(p, degree + 2)
+    return BoundaryProblem(degree, tuple(levels[degree]), tuple(levels[degree + 1]))
 
 
 def aligned_boundary_problem(t: Tree, degree: int) -> BoundaryProblem:
@@ -139,11 +147,8 @@ def hull_problem(p: ProductComplex, degree: int, chain: AltChain) -> BoundaryPro
     h1 = sorted(convex_hull(p.factor1, [a for a, _ in coords]).vertices)
     h2 = sorted(convex_hull(p.factor2, [b for _, b in coords]).vertices)
     window = [p.encode(a, b) for a in h1 for b in h2]
-    return BoundaryProblem(
-        degree,
-        tuple(flatmate_tuples(p, degree + 1, vertices=window)),
-        tuple(flatmate_tuples(p, degree + 2, vertices=window)),
-    )
+    levels = _flatmate_levels(p, degree + 2, window)
+    return BoundaryProblem(degree, tuple(levels[degree]), tuple(levels[degree + 1]))
 
 
 def sample_unit_cycles(

@@ -2,8 +2,12 @@
 
 Vertices are the integers 0..n-1.  All distances, geodesics, nearest-point
 projections and convex hulls are computed combinatorially, so every result
-is exact.  Trees are immutable once built and safe to share between tasks;
-the per-source BFS distance cache only grows.
+is exact.  Trees are immutable once built and safe to share between tasks.
+The per-source BFS distance cache only grows, one full row for each source
+that `distances_from` is asked about: `build_tree`'s connectivity check
+(vertex 0), `geodesic`, `diametral_pair`, `segment_offsets` and the
+isometry checks fill it.  `aligned_tuples` and `aligned_spines` read no
+rows; they walk a breadth-first search cut at the spine length instead.
 """
 
 from __future__ import annotations
@@ -309,6 +313,62 @@ def is_aligned(t: Tree, tup: Sequence[int]) -> bool:
     return not tup or diametral_pair(t, tup) is not None
 
 
+def aligned_spines(
+    t: Tree,
+    size: int,
+    *,
+    vertices: Iterable[int] | None = None,
+    max_length: int | None = None,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every canonical aligned tuple with `size` entries, with its spine.
+
+    The spine is the geodesic between the tuple's extremal pair, read from
+    the lower id to the higher.  Each aligned vertex set is generated once,
+    from that pair u < v, by one breadth-first search from u cut at
+    `max_length` (the whole tree when None), level by level; each reached
+    vertex keeps its parent and its walk from u, the parent's walk plus
+    itself, so no distance row is read.  `vertices` keeps only tuples whose
+    entries all lie in that subset; the search still crosses vertices
+    outside it, so non-convex subsets are exact.  The pairs come in no
+    particular order.
+    """
+    if size < 1:
+        raise ValueError("size must be positive")
+    ids = t.vertices() if vertices is None else sorted(set(vertices))
+    if size == 1:
+        for v in ids:
+            yield (v,), (v,)
+        return
+    inside = None if vertices is None else set(ids)
+    longest = t.vertex_count if max_length is None else max_length
+    adjacency = t.adjacency
+    for u in ids:
+        # (vertex, parent, walk from u) for every vertex at the current depth
+        level = [(u, -1, (u,))]
+        for depth in range(1, longest + 1):
+            level = [
+                (w, x, walk + (w,))
+                for x, parent, walk in level
+                for w in adjacency[x]
+                if w != parent
+            ]
+            if not level:
+                break
+            if depth < size - 1:
+                continue
+            for v, _, spine in level:
+                if v <= u or (inside is not None and v not in inside):
+                    continue
+                if size == 2:
+                    yield (u, v), spine
+                    continue
+                interior = spine[1:-1]
+                if inside is not None:
+                    interior = [w for w in interior if w in inside]
+                for combo in combinations(interior, size - 2):
+                    yield tuple(sorted((u, v) + combo)), spine
+
+
 def aligned_tuples(
     t: Tree,
     size: int,
@@ -316,33 +376,12 @@ def aligned_tuples(
     vertices: Iterable[int] | None = None,
     max_length: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """All canonical (sorted, distinct) aligned tuples with `size` entries.
-
-    Each aligned vertex set is generated once, from its extremal pair,
-    reading one distance row per first end.  `vertices` keeps only tuples
-    whose entries all lie in that subset, and `max_length` only those whose
-    extremal pair is at most that far apart.  Pairs need no geodesic.
-    """
-    if size < 1:
-        raise ValueError("size must be positive")
-    ids = t.vertices() if vertices is None else sorted(set(vertices))
-    if size == 1:
-        return [(v,) for v in ids]
-    inside = None if vertices is None else set(ids)
-    longest = t.vertex_count if max_length is None else max_length
-    out: list[tuple[int, ...]] = []
-    for k, u in enumerate(ids):
-        du = t.distances_from(u)
-        for v in ids[k + 1 :]:
-            if not size - 1 <= du[v] <= longest:
-                continue
-            interior = geodesic(t, u, v)[1:-1] if size > 2 else []
-            if inside is not None:
-                interior = [w for w in interior if w in inside]
-            for combo in combinations(interior, size - 2):
-                out.append(tuple(sorted((u, v) + combo)))
-    out.sort()
-    return out
+    """All canonical (sorted, distinct) aligned tuples with `size` entries,
+    sorted: the tuples of `aligned_spines`, whose restrictions they take."""
+    return sorted(
+        tup
+        for tup, _ in aligned_spines(t, size, vertices=vertices, max_length=max_length)
+    )
 
 
 class PartialIsometry:

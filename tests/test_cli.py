@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from alignedchains import orbits
 from alignedchains.cli import main
 from alignedchains.reporting import strip_volatile
 
@@ -128,6 +129,33 @@ def test_orbit_report_cramped_tree_fails(workdir):
     doc = load_report(workdir / "orbit-report-report.json")
     assert doc["summary"]["passed"] is False
     assert any(not r["witnessed"] for r in doc["results"])
+
+
+def test_orbit_report_broken_certificate_exits_one(workdir, monkeypatch, capsys):
+    # a witness that breaks its own certificate is an internal failure: the
+    # run still writes a report, which names the breach, and exits 1
+    certify = orbits._certify_spine_map
+
+    def swap_spine_ends(t, spine, mapping):
+        mapping[spine[0]], mapping[spine[-1]] = mapping[spine[-1]], mapping[spine[0]]
+        certify(t, spine, mapping)
+
+    monkeypatch.setattr(orbits, "_certify_spine_map", swap_spine_ends)
+    code = main(
+        [
+            "orbit-report",
+            "--regular", "3", "--radius", "4",
+            "--degree", "1", "--diameter-cap", "2",
+        ]
+    )
+    assert code == 1
+    doc = load_report(workdir / "orbit-report-report.json")
+    assert doc["summary"]["passed"] is False
+    assert doc["summary"]["internal_error"].startswith(
+        "CertificateError: witness certificate: edge"
+    )
+    assert "goes to the non-edge" in doc["summary"]["internal_error"]
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_flatmate_probe_csv(workdir):

@@ -1,19 +1,26 @@
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from alignedchains.orbits import (
+    CertificateError,
+    _certify_spine_map,
     _signature_data,
     aligned_signature,
     orbit_class_census,
     orbit_witness,
 )
 from alignedchains.trees import (
+    PartialIsometry,
     aligned_tuples,
     build_tree,
     extend_partial_isometry,
+    geodesic,
     is_aligned,
     path_tree,
+    random_tree,
     regular_ball,
 )
 
@@ -144,6 +151,104 @@ def test_witness_matches_greedy_extension(tree):
                     assert result.isometry.mapping == greedy.mapping
                 statuses.add(result.status)
     assert statuses == {"ok", "ball_too_small"}
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [regular_ball(3, 4), random_tree(40, "cert-a"), random_tree(40, "cert-b")],
+)
+def test_edge_local_certificate_agrees_with_validate(tree):
+    # on a spine plus its neighbours, a connected domain, the edge-local
+    # certificate and the all-pairs distance check reject the same maps
+    rng = random.Random(f"certificates:{tree.vertex_count}")
+    vertices = list(tree.vertices())
+    verdicts: Counter = Counter()
+    for _ in range(200):
+        u = rng.choice(vertices)
+        near_u = tree.distances_from(u)
+        v = rng.choice([w for w in vertices if 0 < near_u[w] <= 3])
+        spine = geodesic(tree, u, v)
+        domain = sorted(set(spine).union(*(tree.adjacency[w] for w in spine)))
+        maps = [("random", dict(zip(domain, rng.sample(vertices, len(domain)))))]
+        start = rng.choice(vertices)
+        row = tree.distances_from(start)
+        ends = [w for w in vertices if row[w] == len(spine) - 1]
+        seed = dict(zip(spine, geodesic(tree, start, rng.choice(ends)))) if ends else {}
+        iso = extend_partial_isometry(tree, seed, domain) if seed else None
+        if iso is not None:
+            maps.append(("isometry", iso.mapping))
+            # near misses: one image moved at most two steps, or two swapped;
+            # every distance not involving the moved vertices is kept
+            moved = dict(iso.mapping)
+            w = rng.choice(domain)
+            free = [
+                c
+                for c in vertices
+                if c not in moved.values() and tree.distance(c, moved[w]) <= 2
+            ]
+            if free:
+                moved[w] = rng.choice(free)
+                maps.append(("moved", moved))
+            swapped = dict(iso.mapping)
+            a, b = rng.sample(domain, 2)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            maps.append(("swapped", swapped))
+            # a fold sends two neighbours of one vertex to one image: every
+            # edge still goes to an edge, but the map is not injective
+            folded = dict(iso.mapping)
+            hub = max(spine, key=lambda w: len(tree.adjacency[w]))
+            a, b = tree.adjacency[hub][:2]
+            folded[a] = folded[b]
+            maps.append(("folded", folded))
+        for kind, mapping in maps:
+            try:
+                PartialIsometry(mapping).validate(tree)
+                by_pairs = True
+            except ValueError:
+                by_pairs = False
+            try:
+                _certify_spine_map(tree, spine, dict(mapping))
+                by_edges = True
+            except CertificateError:
+                by_edges = False
+            assert by_pairs == by_edges, (kind, spine, mapping)
+            verdicts[kind, by_pairs] += 1
+    assert verdicts["isometry", True] and verdicts["random", False]
+    assert verdicts["moved", False] and verdicts["swapped", False]
+    assert verdicts["folded", False] and not verdicts["folded", True]
+
+
+def test_certificate_rejects_a_domain_off_the_spine():
+    # a vertex two steps from the spine makes the domain disconnected
+    t = path_tree(6)
+    with pytest.raises(CertificateError, match="no spine neighbor"):
+        _certify_spine_map(t, [0, 1], {0: 0, 1: 1, 3: 3})
+    with pytest.raises(CertificateError, match="not adjacent"):
+        _certify_spine_map(t, [0, 2], {0: 0, 2: 2, 1: 1})
+
+
+def test_census_reads_only_the_root_row():
+    t = regular_ball(3, 9)
+    for type_preserving in (True, False):
+        orbit_class_census(t, 1, 7, type_preserving=type_preserving)
+    assert len(t._dist_cache) <= 1
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_census_types_from_an_odd_root(degree):
+    # the root's row gives the same bipartition bit as vertex 0's row
+    t = regular_ball(3, 4)
+    root, cap = 1, 3
+    t._dist_cache.clear()
+    census = orbit_class_census(t, degree, cap, root=root)
+    assert set(t._dist_cache) == {root}
+    droot = t.distances_from(root)
+    region = [v for v in t.vertices() if droot[v] <= cap + 1]
+    expected = Counter(
+        aligned_signature(t, tup).class_key
+        for tup in aligned_tuples(t, degree + 1, vertices=region, max_length=cap)
+    )
+    assert {(rec.type_bit, rec.gaps): rec.size for rec in census.classes} == expected
 
 
 def test_census_vertices():

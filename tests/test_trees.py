@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from alignedchains.trees import (
     PartialIsometry,
     Tree,
+    aligned_spines,
     aligned_tuples,
     build_tree,
     convex_hull,
@@ -205,6 +206,17 @@ def test_aligned_tuples_restricted_match_brute_force(t, root):
     unrestricted = aligned_tuples(t, 3)
     assert aligned_tuples(t, 3, vertices=reversed(t.vertices())) == unrestricted
     assert aligned_tuples(t, 3, max_length=t.vertex_count) == unrestricted
+
+
+@pytest.mark.parametrize("t", [regular_ball(3, 3), random_tree(30, "spines")])
+def test_aligned_spines_are_extremal_geodesics(t):
+    region = [v for v in t.vertices() if v % 3]
+    for size in (1, 2, 3):
+        for kwargs in ({}, {"vertices": region, "max_length": 3}):
+            pairs = list(aligned_spines(t, size, **kwargs))
+            assert sorted(tup for tup, _ in pairs) == aligned_tuples(t, size, **kwargs)
+            for tup, spine in pairs:
+                assert list(spine) == geodesic(t, *diametral_pair(t, tup))
 
 
 def test_partial_isometry_validate():
