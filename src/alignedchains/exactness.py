@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, count, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .limits import DEFAULT_DIM_CAP, CapExceeded
@@ -138,14 +138,14 @@ class DegreeExactness:
         }
 
 
-def _default_basis(
+def _default_bases(
     vertices: Sequence[int],
     membership: Callable[[tuple[int, ...]], bool] | None,
     dim_cap: int,
-) -> Callable[[int], list[tuple[int, ...]]]:
+) -> Iterator[list[tuple[int, ...]]]:
+    """Levels of the subsets of `vertices` kept by `membership`, by size."""
     ids = sorted(vertices)
-
-    def basis(size: int) -> list[tuple[int, ...]]:
+    for size in count(1):
         raw = math.comb(len(ids), size)
         if raw > dim_cap:
             raise CapExceeded(
@@ -153,10 +153,9 @@ def _default_basis(
             )
         combos = combinations(ids, size)
         if membership is None:
-            return list(combos)
-        return [tup for tup in combos if membership(tup)]
-
-    return basis
+            yield list(combos)
+        else:
+            yield [tup for tup in combos if membership(tup)]
 
 
 def verify_exactness(
@@ -164,30 +163,41 @@ def verify_exactness(
     n_max: int,
     membership: Callable[[tuple[int, ...]], bool] | None = None,
     *,
-    basis_enumerator: Callable[[int], list[tuple[int, ...]]] | None = None,
+    bases: Iterable[Iterable[tuple[int, ...]]] | None = None,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> list[DegreeExactness]:
     """Check exactness of the (sub)complex at degrees 0..n_max.
 
-    `basis_enumerator(size)` may replace the default enumeration (all
-    size-subsets of `vertices` filtered by `membership`); it must yield
-    canonical tuples of a face-closed family, which is validated on every
-    tuple of every basis before any record is returned.
+    The bases of the chain groups are read level by level, the tuples with
+    1 entry first, up to n_max + 2 entries.  By default the level of size
+    k holds the k-subsets of `vertices` kept by `membership` (all of them
+    when None).  Otherwise `bases` yields the levels in order, for
+    instance as a generator that grows each level from the one before,
+    and `vertices` is not read.  Only the first n_max + 2 levels are read,
+    all of them before any elimination, so a cap that the enumeration
+    raises stops the check before any rank is computed.  The levels must
+    hold canonical tuples of a face-closed family, which is validated on
+    every tuple of every level before any record is returned.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if not len(vertices) and basis_enumerator is None:
-        raise ValueError("empty vertex set")
-    basis = basis_enumerator or _default_basis(vertices, membership, dim_cap)
+    if bases is None:
+        if not len(vertices):
+            raise ValueError("empty vertex set")
+        bases = _default_bases(vertices, membership, dim_cap)
+    elif membership is not None:
+        raise ValueError("give membership or bases, not both")
 
-    bases: list[list[tuple[int, ...]]] = []
-    for size in range(1, n_max + 3):
-        b = sorted(basis(size))
+    levels: list[list[tuple[int, ...]]] = []
+    for size, level in zip(range(1, n_max + 3), bases):
+        b = sorted(level)
         if len(b) > dim_cap:
             raise CapExceeded(f"{len(b)} basis tuples at size {size} exceed cap {dim_cap}")
-        bases.append(b)
+        levels.append(b)
+    if len(levels) < n_max + 2:
+        raise ValueError(f"bases gave {len(levels)} levels, {n_max + 2} needed")
 
-    row_indices = [{tup: i for i, tup in enumerate(b)} for b in bases[:-1]]
+    row_indices = [{tup: i for i, tup in enumerate(b)} for b in levels[:-1]]
 
     def check_faces(k: int, tuples: Iterable[tuple[int, ...]]) -> None:
         """Raise unless every face of every tuple is a row of degree k-1."""
@@ -222,13 +232,13 @@ def verify_exactness(
             yield col
 
     results: list[DegreeExactness] = []
-    kernel_dim = max(len(bases[0]) - 1, 0)  # kernel of the augmentation
+    kernel_dim = max(len(levels[0]) - 1, 0)  # kernel of the augmentation
     for n in range(n_max + 1):
-        dim_n = len(bases[n])
+        dim_n = len(levels[n])
         # The target is a proven upper bound (boundary of boundary is
         # zero), so hitting it early still reports the true rank, and a
         # mod-p rank that hits it is the rational rank.
-        tuples = iter(bases[n + 1])
+        tuples = iter(levels[n + 1])
         image_rank = rank_of_columns(
             boundary_columns(n + 1, tuples), target=kernel_dim, modulus=PRIME
         )
@@ -237,7 +247,7 @@ def verify_exactness(
         check_faces(n + 1, tuples)
         if PRIME is not None and image_rank < kernel_dim:
             image_rank = rank_of_columns(
-                boundary_columns(n + 1, bases[n + 1]), target=kernel_dim
+                boundary_columns(n + 1, levels[n + 1]), target=kernel_dim
             )
         results.append(
             DegreeExactness(
@@ -248,7 +258,7 @@ def verify_exactness(
                 exact=image_rank == kernel_dim,
             )
         )
-        kernel_dim = len(bases[n + 1]) - image_rank
+        kernel_dim = len(levels[n + 1]) - image_rank
     return results
 
 
@@ -264,8 +274,8 @@ def aligned_exactness(
 ) -> list[DegreeExactness]:
     """Exactness of the subcomplex of aligned tuples of a tree."""
     return verify_exactness(
-        list(t.vertices()),
+        t.vertices(),
         n_max,
-        basis_enumerator=lambda size: aligned_tuples(t, size),
+        bases=(aligned_tuples(t, size) for size in range(1, n_max + 3)),
         dim_cap=dim_cap,
     )

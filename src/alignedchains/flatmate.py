@@ -2,11 +2,16 @@
 
 A product of two trees carries tuples of product vertices; a tuple is
 "flatmate" when each coordinate projection is aligned in its factor, i.e.
-the tuple fits inside a product of two geodesic segments.  The flatmate
-subcomplex supports the same exactness checks as the aligned complex, and
-an LP probe estimates, instance by instance, the best constant for
-filling unit cycles by one-degree-up chains.  The probe emits data only;
-it never decides whether those constants stay bounded as instances grow.
+the tuple fits inside a product of two geodesic segments.  One enumerator,
+`_flatmate_levels`, grows every level of the complex in one pass: each
+tuple carries its segment ends in both factors, and a new vertex is
+tested against them by the betweenness of tree metrics (Buneman, 1974),
+three distance lookups per factor.  `is_flatmate` is the direct test,
+kept as a reference.  The flatmate subcomplex supports the same exactness
+checks as the aligned complex, and an LP probe estimates, instance by
+instance, the best constant for filling unit cycles by one-degree-up
+chains.  The probe emits data only; it never decides whether those
+constants stay bounded as instances grow.
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .chains import AltChain
 from .exactness import DegreeExactness, verify_exactness
-from .limits import DEFAULT_DIM_CAP, DEFAULT_LP_BASIS_CAP
+from .limits import DEFAULT_DIM_CAP, DEFAULT_LP_BASIS_CAP, CapExceeded
 from .lp import BoundaryProblem, PreimageResult, min_l1_preimage
 from .trees import Tree, aligned_tuples, convex_hull, geodesic, is_aligned, path_tree
 
@@ -55,7 +60,8 @@ class ProductComplex:
 
 
 def is_flatmate(p: ProductComplex, tup: Sequence[int]) -> bool:
-    """True when both coordinate projections of the tuple are aligned."""
+    """True when both coordinate projections of the tuple are aligned; the
+    reference test, which the enumerator does not call."""
     pairs = [p.decode(v) for v in tup]
     return is_aligned(p.factor1, [a for a, _ in pairs]) and is_aligned(
         p.factor2, [b for _, b in pairs]
@@ -63,31 +69,86 @@ def is_flatmate(p: ProductComplex, tup: Sequence[int]) -> bool:
 
 
 def _flatmate_levels(
-    p: ProductComplex, size: int, vertices: Iterable[int] | None = None
-) -> list[list[tuple[int, ...]]]:
-    """Canonical flatmate tuples of every size 1..size, sorted, one list
-    per size: entry k holds the tuples with k + 1 entries.
+    p: ProductComplex,
+    size: int,
+    vertices: Iterable[int] | None = None,
+    *,
+    dim_cap: int | None = None,
+) -> Iterator[list[tuple[int, ...]]]:
+    """Canonical flatmate tuples of every size 1..size, one sorted list per
+    size, smallest first, all grown in one pass.
 
     `vertices` keeps only tuples whose entries all lie in that subset of
-    product vertex ids.  Flatmate-ness is monotone under subtuples, so
-    prefixes that already fail are pruned exactly.  The tuples are grown
-    one entry at a time, in lexicographic order.
+    product vertex ids.  Flatmate-ness is monotone under subtuples, so a
+    level is grown from the one before by appending a later vertex to each
+    tuple, in lexicographic order.  While a level grows, each tuple carries
+    the ends of its segment in each factor, two of its own coordinates.  A
+    new coordinate a meets ends e, f through the tree metric's betweenness
+    (Buneman, "A note on the metric properties of trees", 1974):
+
+    - a lies on [e, f] when d(e, a) + d(a, f) = d(e, f), and the ends stay;
+    - the segment grows to [e, a] when d(e, a) = d(e, f) + d(f, a);
+    - it grows to [a, f] when d(f, a) = d(f, e) + d(e, a);
+    - otherwise no segment holds the prefix and a, so the tuple is dropped.
+
+    That reads three entries of two memoized distance rows per factor.  A
+    single vertex starts with e = f.  Only the level being grown keeps its
+    ends; finished levels are plain tuple lists.  With `dim_cap` set, a
+    level that passes the cap raises `CapExceeded` while it grows, so no
+    later level is started.
     """
     if size < 1:
         raise ValueError("size must be positive")
-    ids = p.vertices() if vertices is None else sorted(set(vertices))
-    after = {v: k + 1 for k, v in enumerate(ids)}
-    levels = [[(v,) for v in ids]]
+    ids = list(p.vertices()) if vertices is None else sorted(set(vertices))
+    coords = [p.decode(v) for v in ids]
+    distances1 = p.factor1.distances_from
+    distances2 = p.factor2.distances_from
+
+    def check_cap(level: list[tuple[int, ...]], length: int) -> None:
+        if dim_cap is not None and len(level) > dim_cap:
+            raise CapExceeded(
+                f"flatmate tuples of size {length} passed the cap {dim_cap}"
+            )
+
+    level = [(v,) for v in ids]
+    check_cap(level, 1)
+    # (position in ids of the last entry, e1, f1, e2, f2) for each tuple
+    ends = [(j, a, a, b, b) for j, (a, b) in enumerate(coords)]
     for length in range(2, size + 1):
-        levels.append(
-            [
-                tup + (v,)
-                for tup in levels[-1]
-                for v in ids[after[tup[-1]] :]
-                if length <= 2 or is_flatmate(p, tup + (v,))
-            ]
-        )
-    return levels
+        yield level
+        last = length == size
+        grown: list[tuple[int, ...]] = []
+        grown_ends: list[tuple[int, int, int, int, int]] = []
+        for tup, (i, e1, f1, e2, f2) in zip(level, ends):
+            de1, df1 = distances1(e1), distances1(f1)
+            de2, df2 = distances2(e2), distances2(f2)
+            d1, d2 = de1[f1], de2[f2]
+            for j in range(i + 1, len(ids)):
+                a, b = coords[j]
+                x, y = de1[a], df1[a]
+                if x + y == d1:
+                    g1, h1 = e1, f1
+                elif x == d1 + y:
+                    g1, h1 = e1, a
+                elif y == d1 + x:
+                    g1, h1 = a, f1
+                else:
+                    continue
+                x, y = de2[b], df2[b]
+                if x + y == d2:
+                    g2, h2 = e2, f2
+                elif x == d2 + y:
+                    g2, h2 = e2, b
+                elif y == d2 + x:
+                    g2, h2 = b, f2
+                else:
+                    continue
+                grown.append(tup + (ids[j],))
+                if not last:
+                    grown_ends.append((j, g1, h1, g2, h2))
+            check_cap(grown, length)
+        level, ends = grown, grown_ends
+    yield level
 
 
 def flatmate_tuples(
@@ -95,25 +156,28 @@ def flatmate_tuples(
 ) -> list[tuple[int, ...]]:
     """All canonical flatmate tuples with `size` entries, sorted; the last
     level of `_flatmate_levels`, whose restriction it takes."""
-    return _flatmate_levels(p, size, vertices)[-1]
+    for level in _flatmate_levels(p, size, vertices):
+        pass
+    return level
 
 
 def flatmate_exactness(
     p: ProductComplex, n_max: int, *, dim_cap: int = DEFAULT_DIM_CAP
 ) -> list[DegreeExactness]:
-    """Exactness of the flatmate subcomplex at degrees 0..n_max."""
+    """Exactness of the flatmate subcomplex at degrees 0..n_max, on bases
+    grown in one pass of `_flatmate_levels`."""
     return verify_exactness(
         p.vertices(),
         n_max,
-        basis_enumerator=lambda size: flatmate_tuples(p, size),
+        bases=_flatmate_levels(p, n_max + 2, dim_cap=dim_cap),
         dim_cap=dim_cap,
     )
 
 
 def flatmate_boundary_problem(p: ProductComplex, degree: int) -> BoundaryProblem:
     """Boundary data rows=flatmate (degree+1)-tuples, columns one up."""
-    levels = _flatmate_levels(p, degree + 2)
-    return BoundaryProblem(degree, tuple(levels[degree]), tuple(levels[degree + 1]))
+    *_, rows, columns = _flatmate_levels(p, degree + 2)
+    return BoundaryProblem(degree, tuple(rows), tuple(columns))
 
 
 def aligned_boundary_problem(t: Tree, degree: int) -> BoundaryProblem:
@@ -147,8 +211,8 @@ def hull_problem(p: ProductComplex, degree: int, chain: AltChain) -> BoundaryPro
     h1 = sorted(convex_hull(p.factor1, [a for a, _ in coords]).vertices)
     h2 = sorted(convex_hull(p.factor2, [b for _, b in coords]).vertices)
     window = [p.encode(a, b) for a in h1 for b in h2]
-    levels = _flatmate_levels(p, degree + 2, window)
-    return BoundaryProblem(degree, tuple(levels[degree]), tuple(levels[degree + 1]))
+    *_, rows, columns = _flatmate_levels(p, degree + 2, window)
+    return BoundaryProblem(degree, tuple(rows), tuple(columns))
 
 
 def sample_unit_cycles(

@@ -4,10 +4,11 @@ Vertices are the integers 0..n-1.  All distances, geodesics, nearest-point
 projections and convex hulls are computed combinatorially, so every result
 is exact.  Trees are immutable once built and safe to share between tasks.
 The per-source BFS distance cache only grows, one full row for each source
-that `distances_from` is asked about: `build_tree`'s connectivity check
-(vertex 0), `geodesic`, `diametral_pair`, `segment_offsets` and the
-isometry checks fill it.  `aligned_tuples` and `aligned_spines` read no
-rows; they walk a breadth-first search cut at the spine length instead.
+that `distances_from` is asked about: `geodesic`, `diametral_pair`,
+`segment_offsets`, the isometry checks and the flatmate enumerator fill
+it, and a freshly built tree holds no row.  `aligned_tuples` and
+`aligned_spines` read no rows; they walk a breadth-first search cut at the
+spine length instead.
 """
 
 from __future__ import annotations
@@ -99,12 +100,19 @@ def build_tree(edges: Iterable[tuple[int, int]], vertex_count: int | None = None
         seen_pairs.add(key)
         adj[a].append(b)
         adj[b].append(a)
-    tree = Tree(tuple(tuple(sorted(ns)) for ns in adj))
-    # Edge count is right, so connectivity also rules out cycles.
-    reached = sum(1 for d in tree.distances_from(0) if d >= 0)
-    if reached != n:
+    # Edge count is right, so connectivity also rules out cycles.  The walk
+    # leaves the distance memo empty.
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    if not all(seen):
         raise ValueError("edges do not form a connected tree (missing or isolated ids)")
-    return tree
+    return Tree(tuple(tuple(sorted(ns)) for ns in adj))
 
 
 def parse_edge_list(text: str) -> list[tuple[int, int]]:

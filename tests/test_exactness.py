@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations, count
 
 import pytest
 
@@ -11,9 +12,21 @@ from alignedchains.exactness import (
     rank_of_columns,
     verify_exactness,
 )
-from alignedchains.flatmate import ProductComplex, flatmate_exactness, flatmate_tuples
+from alignedchains.flatmate import (
+    ProductComplex,
+    flatmate_exactness,
+    flatmate_tuples,
+    is_flatmate,
+)
 from alignedchains.limits import CapExceeded
-from alignedchains.trees import build_tree, nonisomorphic_trees, path_tree, regular_ball
+from alignedchains.trees import (
+    build_tree,
+    is_aligned,
+    nonisomorphic_trees,
+    path_tree,
+    random_tree,
+    regular_ball,
+)
 
 
 def test_column_echelon_rank():
@@ -106,6 +119,9 @@ RP2_TRIANGLES = [
 ]
 
 
+TRIPOD = build_tree([(0, 1), (0, 2), (0, 3)])
+
+
 def rp2_membership(tup):
     return any(set(tup) <= set(tri) for tri in RP2_TRIANGLES)
 
@@ -151,3 +167,68 @@ def test_modular_path_matches_rational_on_flatmate_products(monkeypatch):
     monkeypatch.setattr(exactness, "PRIME", None)
     rational = [_records(flatmate_exactness(p, 3)) for p in products]
     assert modular == rational
+
+
+def test_bases_must_be_face_closed_past_the_early_stop():
+    # the one-pass form of the membership test above: (3, 4) is missing
+    levels = [
+        [tup for tup in combinations(range(5), size) if tup != (3, 4)]
+        for size in (1, 2, 3)
+    ]
+    with pytest.raises(ValueError, match="closed under faces"):
+        verify_exactness(range(5), 1, bases=levels)
+    with pytest.raises(ValueError, match="closed under faces"):
+        verify_exactness(range(5), 1, bases=iter(levels))
+    # a pair whose vertex is missing fails before any early stop
+    with pytest.raises(ValueError, match="closed under faces"):
+        verify_exactness(range(3), 0, bases=[[(0,), (1,)], [(0, 1), (0, 2)]])
+
+
+def test_bases_are_read_up_to_n_max_plus_two():
+    def levels():
+        for size in count(1):
+            if size > 3:
+                raise AssertionError("read a level past n_max + 2")
+            yield combinations(range(5), size)
+
+    assert _records(verify_exactness((), 1, bases=levels())) == _records(
+        full_exactness(5, 1)
+    )
+    with pytest.raises(ValueError, match="2 levels, 3 needed"):
+        verify_exactness(range(5), 1, bases=[[(0,)], []])
+    with pytest.raises(ValueError, match="not both"):
+        verify_exactness(range(5), 1, lambda tup: True, bases=levels())
+
+
+@pytest.mark.parametrize(
+    "p, n_max",
+    [
+        (ProductComplex(regular_ball(3, 2), path_tree(3)), 2),
+        (ProductComplex(TRIPOD, TRIPOD), 3),
+        (ProductComplex(random_tree(9, "flat:0"), random_tree(7, "flat:1")), 1),
+        (ProductComplex(random_tree(9, "flat:2"), random_tree(7, "flat:3")), 1),
+    ],
+)
+def test_one_pass_flatmate_bases_match_per_size_bases(p, n_max):
+    sizes = range(1, n_max + 3)
+    per_size = verify_exactness(
+        (), n_max, bases=[flatmate_tuples(p, size) for size in sizes]
+    )
+    membership = verify_exactness(p.vertices(), n_max, lambda tup: is_flatmate(p, tup))
+    one_pass = flatmate_exactness(p, n_max)
+    assert _records(one_pass) == _records(per_size) == _records(membership)
+    # the filter drops tuples from the top level
+    assert len(flatmate_tuples(p, n_max + 2)) < math.comb(p.vertex_count, n_max + 2)
+
+
+def test_one_pass_aligned_bases_match_per_size_bases():
+    for n in range(1, 9):
+        for t in nonisomorphic_trees(n):
+            records = _records(aligned_exactness(t, 3))
+            membership = verify_exactness(
+                t.vertices(), 3, lambda tup: is_aligned(t, tup)
+            )
+            assert records == _records(membership)
+            # a one-vertex second factor makes flatmate tuples aligned ones
+            flat = flatmate_exactness(ProductComplex(t, path_tree(1)), 3)
+            assert records == _records(flat)

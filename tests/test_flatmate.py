@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,16 +23,46 @@ from alignedchains.flatmate import (
     sample_unit_cycles,
     sample_window_cycles,
 )
+from alignedchains.limits import CapExceeded
 from alignedchains.lp import min_l1_preimage
 from alignedchains.trees import (
     aligned_tuples,
     build_tree,
     convex_hull,
     path_tree,
+    random_tree,
     regular_ball,
 )
 
 TRIPOD = build_tree([(0, 1), (0, 2), (0, 3)])
+
+# Products where the flatmate filter drops tuples.
+FILTERED_PRODUCTS = [
+    ProductComplex(regular_ball(3, 2), path_tree(3)),
+    ProductComplex(TRIPOD, TRIPOD),
+    ProductComplex(random_tree(9, "flat:0"), random_tree(7, "flat:1")),
+    ProductComplex(random_tree(9, "flat:2"), random_tree(7, "flat:3")),
+]
+
+# Most candidate tuples one brute-force comparison may test.
+BRUTE_LIMIT = 40_000
+
+
+def hull_windows(p: ProductComplex, count: int, seed: str) -> list[list[int]]:
+    """Sorted hull products around window cycles and their pairwise sums;
+    the sums can span branch points, where the flatmate filter acts."""
+    rng = random.Random(seed)
+    cycles = [z for z, _ in sample_window_cycles(p, 1, count, rng)]
+    cycles += [a + b for a, b in combinations(cycles, 2)]
+    windows = []
+    for z in cycles:
+        if z.is_zero():
+            continue
+        coords = [p.decode(v) for key in z.terms for v in key]
+        h1 = convex_hull(p.factor1, [a for a, _ in coords]).vertices
+        h2 = convex_hull(p.factor2, [b for _, b in coords]).vertices
+        windows.append(sorted(p.encode(a, b) for a in h1 for b in h2))
+    return windows
 
 
 def test_encode_decode_roundtrip():
@@ -116,6 +147,41 @@ def test_flatmate_tuples_over_hull_windows_match_brute_force():
         assert problem.rows == tuple(brute[2])
         assert problem.columns == tuple(brute[3])
     assert dropped > 0
+
+
+@pytest.mark.parametrize("p", FILTERED_PRODUCTS)
+def test_flatmate_tuples_match_brute_force_where_the_filter_drops(p):
+    # every subset tested by is_flatmate, on the whole product and on hull
+    # windows, wherever there are few enough candidates
+    windows = [list(p.vertices())] + hull_windows(p, 4, "brute:0")
+    dropped = 0
+    largest = 0
+    for window in windows:
+        for size in range(1, 6):
+            if math.comb(len(window), size) > BRUTE_LIMIT:
+                continue
+            expected = [
+                tup for tup in combinations(window, size) if is_flatmate(p, tup)
+            ]
+            assert flatmate_tuples(p, size, vertices=window) == expected
+            dropped += len(expected) < math.comb(len(window), size)
+            largest = max(largest, size)
+    assert dropped > 0
+    assert largest == 5
+
+
+def test_flatmate_levels_stop_at_the_cap():
+    # path(12)^2 has 487 344 triples, about 35 MB as tuples; the grower
+    # stops once the level passes the cap instead of growing it whole
+    p = ProductComplex(path_tree(12), path_tree(12))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="size 3 passed the cap 20000"):
+            flatmate_exactness(p, 1, dim_cap=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_flatmate_exactness_small_products():

@@ -40,6 +40,21 @@ def test_build_tree_rejects_bad_input():
         build_tree([(0, 1), (3, 4)])  # gap in ids
 
 
+def test_build_tree_leaves_the_distance_memo_empty():
+    # the connectivity check walks the edges without filling a memo row
+    trees = [
+        tripod(),
+        path_tree(5),
+        regular_ball(3, 3),
+        random_tree(30, 7),
+        tree_from_pruefer((0, 0)),
+    ]
+    assert all(not t._dist_cache for t in trees)
+    # right edge count, but a triangle plus a stray edge
+    with pytest.raises(ValueError, match="connected"):
+        build_tree([(0, 1), (1, 2), (2, 0), (3, 4)])
+
+
 def test_parse_edge_list_comments_and_errors():
     edges = parse_edge_list("0 1\n# spine\n1 2  # inline\n\n")
     assert edges == [(0, 1), (1, 2)]
