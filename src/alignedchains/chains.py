@@ -3,13 +3,16 @@
 A degree-n chain is a finite formal sum of (n+1)-tuples of vertex ids,
 taken up to the sign of coordinate permutations; tuples with a repeated
 entry are the zero chain.  Chains are stored on canonical keys (strictly
-increasing tuples) and every coefficient is a Fraction, so equality checks
-are exact.
+increasing tuples).  Coefficients are Python ints until a true fraction
+appears, then Fractions; the two mix exactly, so equality checks are
+exact.  `signed_faces` is the one place that writes out the signed faces
+of a canonical tuple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, cycle
 from typing import Callable, Iterable, Iterator
 
 Rational = int | Fraction
@@ -31,16 +34,23 @@ def canonicalize_tuple(tup: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(tup)), -1 if inversions % 2 else 1
 
 
+def signed_faces(key: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(face, sign) pairs of a canonical tuple, the last entry dropped first;
+    dropping entry j has sign (-1)^j."""
+    n = len(key) - 1
+    return zip(combinations(key, n), cycle((-1, 1) if n % 2 else (1, -1)))
+
+
 class AltChain:
     """Immutable-by-convention alternating chain.
 
-    `terms` maps canonical tuples to nonzero Fractions.  Do not mutate a
-    chain's dict; every operation returns a new chain.
+    `terms` maps canonical tuples to nonzero ints or Fractions.  Do not
+    mutate a chain's dict; every operation returns a new chain.
     """
 
     __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, degree: int, terms: dict[tuple[int, ...], Rational]):
         self.degree = degree
         self.terms = terms
 
@@ -51,7 +61,7 @@ class AltChain:
     @classmethod
     def from_tuples(cls, pairs: Iterable[tuple[tuple[int, ...], Rational]]) -> "AltChain":
         """Sum of (tuple, coefficient) terms; tuples may be unordered."""
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Rational] = {}
         degree = None
         for tup, coeff in pairs:
             if degree is None:
@@ -61,7 +71,9 @@ class AltChain:
             key, sign = canonicalize_tuple(tuple(tup))
             if sign == 0:
                 continue
-            value = terms.get(key, Fraction(0)) + Fraction(coeff) * sign
+            if not isinstance(coeff, (int, Fraction)):
+                coeff = Fraction(coeff)
+            value = terms.get(key, 0) + coeff * sign
             if value:
                 terms[key] = value
             else:
@@ -74,7 +86,7 @@ class AltChain:
     def basis(cls, tup: tuple[int, ...], coeff: Rational = 1) -> "AltChain":
         return cls.from_tuples([(tup, coeff)])
 
-    def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def items(self) -> list[tuple[tuple[int, ...], Rational]]:
         """Terms in sorted key order, for deterministic output."""
         return sorted(self.terms.items())
 
@@ -99,10 +111,10 @@ class AltChain:
         """Drop the j-th coordinate of every canonical term."""
         if not 0 <= j <= self.degree:
             raise ValueError(f"face index {j} out of range for degree {self.degree}")
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Rational] = {}
         for key, coeff in self.terms.items():
             face = key[:j] + key[j + 1 :]
-            value = out.get(face, Fraction(0)) + coeff
+            value = out.get(face, 0) + coeff
             if value:
                 out[face] = value
             else:
@@ -113,12 +125,10 @@ class AltChain:
         """Alternating sum of faces; degree must be at least 1."""
         if self.degree < 1:
             raise ValueError("boundary needs degree >= 1")
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Rational] = {}
         for key, coeff in self.terms.items():
-            for j in range(len(key)):
-                face = key[:j] + key[j + 1 :]
-                term = -coeff if j % 2 else coeff
-                value = out.get(face, Fraction(0)) + term
+            for face, sign in signed_faces(key):
+                value = out.get(face, 0) + (coeff if sign > 0 else -coeff)
                 if value:
                     out[face] = value
                 else:
@@ -138,7 +148,7 @@ class AltChain:
             raise ValueError("degree mismatch")
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            value = out.get(key, Fraction(0)) + coeff
+            value = out.get(key, 0) + coeff
             if value:
                 out[key] = value
             else:
@@ -152,10 +162,11 @@ class AltChain:
         return self + (-other)
 
     def __mul__(self, scalar: Rational) -> "AltChain":
-        s = Fraction(scalar)
-        if not s:
+        if not isinstance(scalar, (int, Fraction)):
+            scalar = Fraction(scalar)
+        if not scalar:
             return AltChain.zero(self.degree)
-        return AltChain(self.degree, {k: c * s for k, c in self.terms.items()})
+        return AltChain(self.degree, {k: c * scalar for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 

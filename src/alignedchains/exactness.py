@@ -23,13 +23,14 @@ Fractions, whose rank keeps the next degree's kernel dimension exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, combinations, count, repeat
+from itertools import chain, combinations, count, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .chains import signed_faces
 from .limits import DEFAULT_DIM_CAP, CapExceeded
-from .trees import Tree, aligned_tuples
+from .trees import Tree, aligned_spines
 
 # The modulus of the first elimination pass; None means eliminate over Q.
 PRIME: int | None = 2**31 - 1
@@ -129,13 +130,7 @@ class DegreeExactness:
     exact: bool
 
     def to_record(self) -> dict:
-        return {
-            "degree": self.degree,
-            "dim": self.dim,
-            "image_rank": self.image_rank,
-            "kernel_dim": self.kernel_dim,
-            "exact": self.exact,
-        }
+        return asdict(self)
 
 
 def _default_bases(
@@ -174,10 +169,10 @@ def verify_exactness(
     when None).  Otherwise `bases` yields the levels in order, for
     instance as a generator that grows each level from the one before,
     and `vertices` is not read.  Only the first n_max + 2 levels are read,
-    all of them before any elimination, so a cap that the enumeration
-    raises stops the check before any rank is computed.  The levels must
-    hold canonical tuples of a face-closed family, which is validated on
-    every tuple of every level before any record is returned.
+    each up to dim_cap + 1 tuples in any order, all before any elimination,
+    so a cap stops the check before a lazy level is drawn in full.  The
+    levels must hold canonical tuples of a face-closed family, which is
+    validated on every tuple of every level before any record is returned.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -190,9 +185,9 @@ def verify_exactness(
 
     levels: list[list[tuple[int, ...]]] = []
     for size, level in zip(range(1, n_max + 3), bases):
-        b = sorted(level)
+        b = sorted(islice(level, dim_cap + 1))
         if len(b) > dim_cap:
-            raise CapExceeded(f"{len(b)} basis tuples at size {size} exceed cap {dim_cap}")
+            raise CapExceeded(f"basis tuples of size {size} passed the cap {dim_cap}")
         levels.append(b)
     if len(levels) < n_max + 2:
         raise ValueError(f"bases gave {len(levels)} levels, {n_max + 2} needed")
@@ -221,15 +216,12 @@ def verify_exactness(
     ) -> Iterator[dict[int, int]]:
         """Columns of the boundary from degree k to degree k-1."""
         rows = row_indices[k - 1]
-        # combinations(tup, k) drops the last entry first, the first last.
-        signs = [-1 if j % 2 else 1 for j in range(k, -1, -1)]
         for tup in tuples:
             try:
-                col = dict(zip(map(rows.__getitem__, combinations(tup, k)), signs))
+                yield {rows[face]: sign for face, sign in signed_faces(tup)}
             except KeyError:
                 check_faces(k, [tup])  # raises, naming the missing face
                 raise
-            yield col
 
     results: list[DegreeExactness] = []
     kernel_dim = max(len(levels[0]) - 1, 0)  # kernel of the augmentation
@@ -276,6 +268,8 @@ def aligned_exactness(
     return verify_exactness(
         t.vertices(),
         n_max,
-        bases=(aligned_tuples(t, size) for size in range(1, n_max + 3)),
+        bases=(
+            (tup for tup, _ in aligned_spines(t, size)) for size in range(1, n_max + 3)
+        ),
         dim_cap=dim_cap,
     )

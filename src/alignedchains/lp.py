@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .chains import AltChain
+from .chains import AltChain, signed_faces
 from .limits import DEFAULT_LP_BASIS_CAP, CapExceeded
 
 _ZERO = Fraction(0)
@@ -39,12 +39,6 @@ class BoundaryProblem:
     degree: int
     rows: tuple[tuple[int, ...], ...]
     columns: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def faces_of(col: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-        return [
-            (col[:j] + col[j + 1 :], -1 if j % 2 else 1) for j in range(len(col))
-        ]
 
 
 @dataclass
@@ -284,7 +278,7 @@ def _price_support(
     out = []
     for col in sorted(candidates):
         value = _ZERO
-        for face, sign in BoundaryProblem.faces_of(col):
+        for face, sign in signed_faces(col):
             y = dual.get(face)
             if y is not None:
                 value += y if sign > 0 else -y
@@ -352,7 +346,7 @@ def min_l1_preimage(
         if rounds > max_rounds:
             raise ArithmeticError("column generation failed to converge")
         for col in new_columns:
-            for face, _ in BoundaryProblem.faces_of(col):
+            for face, _ in signed_faces(col):
                 if face not in row_set:
                     raise ValueError(
                         f"column {col} has face {face} outside the row family"
@@ -368,7 +362,7 @@ def min_l1_preimage(
         simplex.add_rows([z_int.get(face, 0) for face in new_rows])
         simplex.add_columns(
             [
-                {rows[face]: sign for face, sign in BoundaryProblem.faces_of(col)}
+                {rows[face]: sign for face, sign in signed_faces(col)}
                 for col in new_columns
             ]
         )
@@ -392,10 +386,7 @@ def min_l1_preimage(
                     if value
                 }
                 chain = AltChain(problem.degree + 1, coeffs)
-                check = chain.boundary()
-                if check != AltChain(
-                    problem.degree, {k: Fraction(v, scale) for k, v in z_int.items()}
-                ):
+                if chain.boundary() != z:
                     raise AssertionError("simplex returned a non-filling")
                 norm = chain.l1_norm()
                 dual_obj = sum(

@@ -9,6 +9,7 @@ from alignedchains.chains import (
     canonicalize_tuple,
     chain_from_lines,
     chain_to_lines,
+    signed_faces,
 )
 
 tuples3 = st.tuples(
@@ -17,8 +18,9 @@ tuples3 = st.tuples(
     st.integers(min_value=0, max_value=9),
 )
 
-coeffs = st.fractions(
-    min_value=-50, max_value=50, max_denominator=12
+coeffs = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
 ).filter(lambda f: f != 0)
 
 
@@ -54,6 +56,33 @@ def test_boundary_is_alternating_face_sum(pairs):
         faces = chain.face(j)
         total = total + (faces if j % 2 == 0 else -faces)
     assert chain.boundary() == total
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+def test_signed_faces_drop_each_entry_with_alternating_sign(length):
+    key = tuple(range(3, 3 + 2 * length, 2))
+    expected = {(key[:j] + key[j + 1 :], (-1) ** j) for j in range(length)}
+    faces = list(signed_faces(key))
+    assert len(faces) == length
+    assert set(faces) == expected
+
+
+def test_integer_chains_stay_int():
+    c = AltChain.from_tuples([((0, 1, 2), 3), ((2, 1, 3), -2), ((1, 3, 4), 1)])
+    d = AltChain.from_tuples([((0, 1, 2), -3), ((0, 2, 4), 5)])
+    point = AltChain.from_tuples([((0,), 2), ((3,), -5)])
+    for chain in (c, d, c.boundary(), c + d, c - d, c * 4, 4 * c, -c, point):
+        assert chain.terms
+        assert all(type(coeff) is int for coeff in chain.terms.values())
+    assert type(c.l1_norm()) is Fraction and c.l1_norm() == 6
+    assert type(point.augmentation()) is Fraction and point.augmentation() == -3
+    assert type(AltChain.zero(1).l1_norm()) is Fraction
+
+
+def test_float_coefficients_become_fractions():
+    for chain in (AltChain.basis((0, 1), 0.5), AltChain.basis((0, 1)) * 0.5):
+        assert chain.terms == {(0, 1): Fraction(1, 2)}
+        assert type(chain.terms[(0, 1)]) is Fraction
 
 
 def test_transposition_flips_sign():

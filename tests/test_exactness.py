@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, count
 
@@ -96,6 +97,18 @@ def test_face_closure_checked_past_the_early_stop():
 def test_dim_cap_enforced():
     with pytest.raises(CapExceeded):
         full_exactness(40, 3, dim_cap=1000)
+
+
+def test_aligned_exactness_cap_stops_before_the_level_is_built():
+    t = regular_ball(3, 8)  # 292 995 aligned pairs
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="size 2 passed the cap 1000"):
+            aligned_exactness(t, 0, dim_cap=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_record_shape():

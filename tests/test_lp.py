@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from alignedchains.chains import AltChain
+from alignedchains.chains import AltChain, signed_faces
 from alignedchains.flatmate import (
     ProductComplex,
     aligned_boundary_problem,
@@ -40,8 +40,8 @@ def tripod_hull_cases() -> list[tuple[BoundaryProblem, AltChain]]:
 
 
 def test_faces_of_signs():
-    faces = BoundaryProblem.faces_of((0, 1, 2))
-    assert faces == [((1, 2), 1), ((0, 2), -1), ((0, 1), 1)]
+    faces = list(signed_faces((0, 1, 2)))
+    assert faces == [((0, 1), 1), ((0, 2), -1), ((1, 2), 1)]
 
 
 def test_rejects_non_cycles_and_bad_support():
@@ -119,7 +119,7 @@ def test_infeasible_with_farkas_certificate():
     for col in problem.columns:
         col_sum = sum(
             sign * result.dual.get(face, Fraction(0))
-            for face, sign in BoundaryProblem.faces_of(col)
+            for face, sign in signed_faces(col)
         )
         assert col_sum == 0
 
@@ -187,7 +187,7 @@ def test_duals_certify_optimum():
     for col in problem.columns:
         col_sum = sum(
             sign * result.dual.get(face, Fraction(0))
-            for face, sign in BoundaryProblem.faces_of(col)
+            for face, sign in signed_faces(col)
         )
         assert abs(col_sum) <= 1
 
@@ -213,7 +213,7 @@ def test_scipy_cross_check():
         cols = list(problem.columns)
         mat = np.zeros((len(rows), 2 * len(cols)))
         for j, col in enumerate(cols):
-            for face, sign in BoundaryProblem.faces_of(col):
+            for face, sign in signed_faces(col):
                 mat[rows[face], 2 * j] = sign
                 mat[rows[face], 2 * j + 1] = -sign
         exact = min_l1_preimage(problem, z)
