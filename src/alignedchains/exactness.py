@@ -10,21 +10,17 @@ rank(boundary from degree n+1) == dim ker(boundary out of degree n),
 which suffices because boundary-of-boundary is zero on any face-closed
 family.
 
-Ranks come from sparse column-echelon elimination over GF(p) for the
-fixed prime `PRIME`.  Reducing mod p can only lower a rank, and
-boundary-of-boundary zero bounds the rational rank by the kernel
-dimension, so rank_p <= rank_Q <= kernel_dim: whenever the mod-p rank
-reaches the kernel dimension it is the rational rank, and the verdict is
-certified over Q.  Only a shortfall (rank_p < kernel_dim, from an inexact
-complex or an unlucky prime) redoes that degree by elimination over
-Fractions, whose rank keeps the next degree's kernel dimension exact.
+Ranks come from sparse, fraction-free column-echelon elimination on
+integer columns (in the spirit of Bareiss, 1968).  Every reduction step
+is an integer combination with a nonzero multiplier on the reduced
+column, and every division is an exact gcd cancellation, so the rank it
+counts is the rational rank, in one pass per degree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import chain, combinations, count, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -32,67 +28,46 @@ from .chains import signed_faces
 from .limits import DEFAULT_DIM_CAP, CapExceeded
 from .trees import Tree, aligned_spines
 
-# The modulus of the first elimination pass; None means eliminate over Q.
-PRIME: int | None = 2**31 - 1
-
 
 class ColumnEchelon:
-    """Incremental column echelon form over Q, or over GF(modulus).
+    """Incremental fraction-free column echelon form of integer columns.
 
-    Rows are integers; inserted columns are sparse {row: value} dicts,
-    with integer values when a modulus is set.  Each stored pivot column
-    is normalized (pivot value 1) and has its maximum row at the pivot,
-    which keeps reduction loops finite.
+    Rows are integers; inserted columns are sparse {row: int} dicts.  A
+    column with value c at the row of a pivot with leading value a becomes
+    (a/g)*column - (c/g)*pivot, g = gcd(a, c), which clears that row and
+    keeps every entry an integer.  Each stored pivot column is divided by
+    the gcd of its entries, has a positive leading value, and has its
+    maximum row at the pivot, which keeps reduction loops finite.  The
+    rank is the rank over Q.
     """
 
-    def __init__(self, modulus: int | None = None) -> None:
-        self.modulus = modulus
-        self.pivots: dict[int, dict[int, Fraction | int]] = {}
+    def __init__(self) -> None:
+        self.pivots: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def insert(self, column: dict[int, Fraction | int]) -> bool:
+    def insert(self, column: dict[int, int]) -> bool:
         """Reduce a column; record a new pivot unless it vanishes."""
-        p = self.modulus
-        if p is not None:
-            return self._insert_mod(column, p)
-        col = {r: Fraction(v) for r, v in column.items() if v}
-        while col:
-            r = max(col)
-            pivot = self.pivots.get(r)
-            if pivot is None:
-                factor = col[r]
-                self.pivots[r] = {row: val / factor for row, val in col.items()}
-                return True
-            factor = col.pop(r)
-            for row, val in pivot.items():
-                if row == r:
-                    continue
-                value = col.get(row, Fraction(0)) - factor * val
-                if value:
-                    col[row] = value
-                else:
-                    col.pop(row, None)
-        return False
-
-    def _insert_mod(self, column: dict[int, int], p: int) -> bool:
-        """`insert` over GF(p): the same reduction on residues."""
-        col = {r: v % p for r, v in column.items() if v % p}
+        col = {r: v for r, v in column.items() if v}
         pivots = self.pivots
         while col:
             r = max(col)
             pivot = pivots.get(r)
             if pivot is None:
-                inverse = pow(col[r], -1, p)
-                pivots[r] = {row: val * inverse % p for row, val in col.items()}
+                g = math.gcd(*col.values())
+                if col[r] < 0:
+                    g = -g
+                pivots[r] = {row: val // g for row, val in col.items()}
                 return True
-            factor = col.pop(r)
+            g = math.gcd(pivot[r], col[r])
+            a, c = pivot[r] // g, col[r] // g
+            if a != 1:
+                col = {row: a * val for row, val in col.items()}
+            # the pivot's own row cancels to zero and is dropped here
             for row, val in pivot.items():
-                if row == r:
-                    continue
-                value = (col.get(row, 0) - factor * val) % p
+                value = col.get(row, 0) - c * val
                 if value:
                     col[row] = value
                 else:
@@ -100,18 +75,14 @@ class ColumnEchelon:
         return False
 
 
-def rank_of_columns(
-    columns: Iterable[dict[int, Fraction | int]],
-    target: int | None = None,
-    modulus: int | None = None,
-) -> int:
-    """Rank of a sparse column family, stopping early at `target`.
+def rank_of_columns(columns: Iterable[dict[int, int]], target: int | None = None) -> int:
+    """Rational rank of a sparse integer column family, stopping early at
+    `target`.
 
-    The rank is over Q, or over GF(modulus) for integer columns.  Early
-    stopping is only sound when `target` is a proven upper bound for the
-    rank (for boundary matrices: the kernel dimension one degree down).
+    Early stopping is only sound when `target` is a proven upper bound for
+    the rank (for boundary matrices: the kernel dimension one degree down).
     """
-    ech = ColumnEchelon(modulus)
+    ech = ColumnEchelon()
     for col in columns:
         ech.insert(col)
         if target is not None and ech.rank >= target:
@@ -228,19 +199,12 @@ def verify_exactness(
     for n in range(n_max + 1):
         dim_n = len(levels[n])
         # The target is a proven upper bound (boundary of boundary is
-        # zero), so hitting it early still reports the true rank, and a
-        # mod-p rank that hits it is the rational rank.
+        # zero), so hitting it early still reports the true rank.
         tuples = iter(levels[n + 1])
-        image_rank = rank_of_columns(
-            boundary_columns(n + 1, tuples), target=kernel_dim, modulus=PRIME
-        )
+        image_rank = rank_of_columns(boundary_columns(n + 1, tuples), target=kernel_dim)
         # That bound needs a face-closed family, so the tuples the early
         # stop left unread are checked too.
         check_faces(n + 1, tuples)
-        if PRIME is not None and image_rank < kernel_dim:
-            image_rank = rank_of_columns(
-                boundary_columns(n + 1, levels[n + 1]), target=kernel_dim
-            )
         results.append(
             DegreeExactness(
                 degree=n,

@@ -28,7 +28,7 @@ checks the same maps by all pairwise distances and stays the general test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .chains import canonicalize_tuple
@@ -52,13 +52,6 @@ class AlignedSignature:
     @property
     def class_key(self) -> tuple[int | None, tuple[int, ...]]:
         return (self.type_bit, self.gaps)
-
-    def to_record(self) -> dict:
-        return {
-            "type_bit": self.type_bit,
-            "gaps": list(self.gaps),
-            "sort_sign": self.sort_sign,
-        }
 
 
 def _spine_signature(
@@ -235,12 +228,7 @@ class OrbitClassRecord:
     witnessed: bool
 
     def to_record(self) -> dict:
-        return {
-            "type_bit": self.type_bit,
-            "gaps": list(self.gaps),
-            "size": self.size,
-            "witnessed": self.witnessed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ the end-pair bracket below.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -45,10 +45,15 @@ def project_to_aligned(t: Tree, chain: AltChain) -> AltChain:
     """Linear extension of the tuple projection to whole chains."""
     if chain.degree <= 1 or chain.is_zero():
         return AltChain(chain.degree, dict(chain.terms))
-    out = AltChain.zero(chain.degree)
+    out: dict[tuple[int, ...], Rational] = {}
     for key, coeff in chain.terms.items():
-        out = out + project_tuple(t, key) * coeff
-    return out
+        for tup, c in project_tuple(t, key).terms.items():
+            value = out.get(tup, 0) + c * coeff
+            if value:
+                out[tup] = value
+            else:
+                out.pop(tup, None)
+    return AltChain(chain.degree, out)
 
 
 @dataclass(frozen=True)
@@ -142,12 +147,7 @@ class ChainMapReport:
         return self.failures == 0
 
     def to_record(self) -> dict:
-        return {
-            "degree": self.degree,
-            "samples": self.samples,
-            "failures": self.failures,
-            "counterexample": list(self.counterexample) if self.counterexample else None,
-        }
+        return asdict(self)
 
 
 def verify_chain_map(t: Tree, degree: int, samples: int, seed: int) -> ChainMapReport:
@@ -185,13 +185,7 @@ class BracketReport:
         return self.failures == 0
 
     def to_record(self) -> dict:
-        return {
-            "cocycle_checks": self.cocycle_checks,
-            "face_checks": self.face_checks,
-            "rewrite_checks": self.rewrite_checks,
-            "failures": self.failures,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 def verify_bracket_identities(

@@ -1,11 +1,12 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, count
 
 import pytest
 
-from alignedchains import exactness
+from alignedchains.chains import signed_faces
 from alignedchains.exactness import (
     ColumnEchelon,
     aligned_exactness,
@@ -21,6 +22,7 @@ from alignedchains.flatmate import (
 )
 from alignedchains.limits import CapExceeded
 from alignedchains.trees import (
+    aligned_tuples,
     build_tree,
     is_aligned,
     nonisomorphic_trees,
@@ -31,16 +33,21 @@ from alignedchains.trees import (
 
 
 def test_column_echelon_rank():
-    ech = ColumnEchelon()
-    assert ech.insert({0: Fraction(1), 1: Fraction(2)})
-    assert ech.insert({0: Fraction(1)})
-    # dependent on the first two
-    assert not ech.insert({0: Fraction(3), 1: Fraction(2)})
-    assert ech.rank == 2
+    # the third column depends on the first two; in the second case the
+    # leading values are not units, so the reduction scales the column
+    for first, second, dependent in [
+        ({0: 1, 1: 2}, {0: 1}, {0: 3, 1: 2}),
+        ({1: 2, 0: 1}, {1: 1}, {1: 3, 0: 5}),
+    ]:
+        ech = ColumnEchelon()
+        assert ech.insert(first)
+        assert ech.insert(second)
+        assert not ech.insert(dependent)
+        assert ech.rank == 2
 
 
 def test_rank_of_columns_early_stop():
-    cols = [{i: Fraction(1)} for i in range(10)]
+    cols = [{i: 1} for i in range(10)]
     assert rank_of_columns(cols, target=4) == 4
     assert rank_of_columns(cols) == 10
 
@@ -139,17 +146,16 @@ def rp2_membership(tup):
     return any(set(tup) <= set(tri) for tri in RP2_TRIANGLES)
 
 
-def test_fallback_recovers_rational_rank(monkeypatch):
+def test_fallback_recovers_rational_rank():
+    # the rank over Q; over GF(2) it would be 9
     edges = sorted({tri[:j] + tri[j + 1 :] for tri in RP2_TRIANGLES for j in range(3)})
     row = {edge: i for i, edge in enumerate(edges)}
     columns = [
         {row[tri[:j] + tri[j + 1 :]]: (-1) ** j for j in range(3)}
         for tri in RP2_TRIANGLES
     ]
-    assert rank_of_columns(columns, modulus=2) == 9
     assert rank_of_columns(columns) == 10
 
-    monkeypatch.setattr(exactness, "PRIME", 2)
     records = verify_exactness(range(6), 2, rp2_membership)
     assert records[1].dim == 15
     assert records[1].image_rank == records[1].kernel_dim == 10
@@ -160,26 +166,87 @@ def _records(records):
     return [rec.to_record() for rec in records]
 
 
-def test_modular_path_matches_rational_on_small_trees(monkeypatch):
+def dense_rank(columns, row_count):
+    """Rank over Q by dense Gaussian elimination on Fractions: the
+    reference the sparse integer echelon is checked against."""
+    rows = [[Fraction(col.get(r, 0)) for r in range(row_count)] for col in columns]
+    rank = 0
+    for r in range(row_count):
+        lead = next((i for i in range(rank, len(rows)) if rows[i][r]), None)
+        if lead is None:
+            continue
+        rows[rank], rows[lead] = rows[lead], rows[rank]
+        top = rows[rank][r:]  # the rows below are zero left of r
+        for row in rows[rank + 1 :]:
+            if row[r]:
+                factor = row[r] / top[0]
+                row[r:] = [a - factor * b if b else a for a, b in zip(row[r:], top)]
+        rank += 1
+    return rank
+
+
+def assert_ranks_match_dense(levels):
+    """Untargeted `rank_of_columns` equals `dense_rank` on the boundary
+    between each pair of consecutive levels."""
+    for low, high in zip(levels, levels[1:]):
+        index = {tup: i for i, tup in enumerate(low)}
+        columns = [
+            {index[face]: sign for face, sign in signed_faces(tup)} for tup in high
+        ]
+        assert rank_of_columns(columns) == dense_rank(columns, len(low)), high[:1]
+
+
+def clique_levels(vertex_count, edge_probability, seed, top_size):
+    rng = random.Random(seed)
+    pairs = combinations(range(vertex_count), 2)
+    edges = {e for e in pairs if rng.random() < edge_probability}
+    return [
+        [
+            tup
+            for tup in combinations(range(vertex_count), size)
+            if all(e in edges for e in combinations(tup, 2))
+        ]
+        for size in range(1, top_size + 1)
+    ]
+
+
+def test_rank_matches_dense_elimination_on_small_trees():
     trees = [t for n in range(1, 10) for t in nonisomorphic_trees(n)]
     assert len(trees) == 95  # unlabeled trees on 1..9 vertices
-    modular = [_records(aligned_exactness(t, 3)) for t in trees]
-    monkeypatch.setattr(exactness, "PRIME", None)
-    rational = [_records(aligned_exactness(t, 3)) for t in trees]
-    assert modular == rational
+    for t in trees:
+        assert_ranks_match_dense([aligned_tuples(t, size) for size in range(1, 6)])
 
 
-def test_modular_path_matches_rational_on_flatmate_products(monkeypatch):
+def test_rank_matches_dense_elimination_on_products_and_clique_complexes():
     products = [
         ProductComplex(path_tree(3), path_tree(3)),
         ProductComplex(regular_ball(3, 1), path_tree(3)),
     ]
     # On the second product the flatmate filter drops tuples.
     assert len(flatmate_tuples(products[1], 3)) < math.comb(12, 3)
-    modular = [_records(flatmate_exactness(p, 3)) for p in products]
-    monkeypatch.setattr(exactness, "PRIME", None)
-    rational = [_records(flatmate_exactness(p, 3)) for p in products]
-    assert modular == rational
+    for p in products:
+        assert_ranks_match_dense([flatmate_tuples(p, size) for size in range(1, 6)])
+    rp2 = [
+        [tup for tup in combinations(range(6), size) if rp2_membership(tup)]
+        for size in (1, 2, 3)
+    ]
+    assert_ranks_match_dense(rp2)
+    assert_ranks_match_dense(clique_levels(16, 0.6, 1, 5))
+
+
+def test_inexact_degree_inserts_each_column_once(monkeypatch):
+    inserted = []
+    insert = ColumnEchelon.insert
+
+    def recording_insert(self, column):
+        inserted.append(tuple(sorted(column.items())))
+        return insert(self, column)
+
+    monkeypatch.setattr(ColumnEchelon, "insert", recording_insert)
+    levels = clique_levels(16, 0.6, 1, 4)
+    records = verify_exactness((), 2, bases=levels)
+    assert not records[2].exact  # the elimination runs out of columns here
+    assert len(inserted) == len(set(inserted))
 
 
 def test_bases_must_be_face_closed_past_the_early_stop():
