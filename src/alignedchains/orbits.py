@@ -15,15 +15,23 @@ extended one step outward, so a successful witness certifies membership in
 one orbit at finite scale.  The extension needs no distance search: the
 spine is connected, so sending each off-spine neighbor to any unused
 neighbor of its anchor's image keeps every distance.  The certificate,
-which does not trust that argument, is edge-local and reads no distance
-row: the map is injective, its domain is connected (the spine is a path
-and every other domain vertex has a spine neighbor), and every domain edge
-goes to an edge.  That suffices on a tree: a connected vertex set is
-convex, so the geodesic between two domain vertices stays in the domain;
-its image is a walk whose steps are edges and, by injectivity, never
-backtracks; and a walk without backtracking in a tree is the geodesic
-between its ends (Serre, *Trees*, I.2).  `PartialIsometry.validate`
-checks the same maps by all pairwise distances and stays the general test.
+which does not trust that argument, is edge-local, reads no distance row
+and comes in two halves.  The domain half depends only on the spine the
+witness starts from: the spine is a path, the domain (the spine, then its
+off-spine neighbors) repeats no vertex, and every off-spine vertex has a
+spine neighbor, so the domain is connected.  It is checked once, when that
+spine's frame is built, and the frame keeps the domain, each off-spine
+vertex's anchor and every tree edge between domain vertices.  The image
+half is checked for each target spine: the images are pairwise distinct
+and every frame edge goes to an edge.  Together they suffice on a tree: a
+connected vertex set is convex, so the geodesic between two domain
+vertices stays in the domain; its image is a walk whose steps are edges
+and, by injectivity, never backtracks; and a walk without backtracking in
+a tree is the geodesic between its ends (Serre, *Trees*, I.2).  Every
+member of a census class is witnessed from the class representative's
+spine, so the census certifies each class's domain once and each member's
+images once.  `PartialIsometry.validate` checks the same maps by all
+pairwise distances and stays the general test.
 """
 
 from __future__ import annotations
@@ -140,14 +148,14 @@ def orbit_witness(
     Equal signatures guarantee the spine map itself; the witness also
     extends it to the neighbors of the spine, which certifies one further
     step of rigidity and fails (distinctly) near the boundary of a ball
-    that is too small.  The off-spine neighbors are visited in ascending
-    id, each taking the lowest unused neighbor of its anchor's image, with
-    no distance search.  The final map is then certified edge by edge,
-    independently of how it was built: it must be injective and send every
-    edge of its domain to an edge.  Its domain, the spine plus the spine's
-    neighbors, is connected, and on a connected domain of a tree those two
-    checks prove every distance is kept.  This is the map
-    `extend_partial_isometry` builds from the same spine seed.  In
+    that is too small.  The domain, the spine of x and then its off-spine
+    neighbors in ascending id, is x's frame (`_spine_frame`), whose half of
+    the certificate is checked when it is built.  The images are the spine
+    of y and then, for each off-spine neighbor, the lowest unused neighbor
+    of its anchor's image, found with no distance search; their half of the
+    certificate (`_frame_images`) is injectivity and every frame edge going
+    to an edge.  This is the map `extend_partial_isometry` builds from the
+    same spine seed, and the census builds it by the same routine.  In
     type-preserving mode every displacement of the returned map is even.
     A broken certificate raises `CertificateError`.
     """
@@ -155,35 +163,124 @@ def orbit_witness(
     sig_y, spine_y = _signature_data(t, y, type_preserving)
     if sig_x.class_key != sig_y.class_key:
         return WitnessResult("signature_mismatch", None)
-    return _spine_witness(t, spine_x, spine_y, type_preserving, t.distances_from(0))
+    frame = _spine_frame(t, spine_x)
+    images = _frame_images(t, frame, spine_y, type_preserving, t.distances_from(0))
+    if images is None:
+        return WitnessResult("ball_too_small", None)
+    return WitnessResult("ok", PartialIsometry(dict(zip(frame.domain, images))))
 
 
-def _spine_witness(
+@dataclass(frozen=True)
+class _SpineFrame:
+    """Domain of every witness out of one spine, with the domain half of
+    its certificate already checked.
+
+    `domain` is the spine and then the other domain vertices; `anchors[m]`
+    is the spine index of a neighbor of domain[len(spine) + m]; `edges`
+    holds every tree edge between two domain vertices as an index pair
+    (i, j) with i < j.
+    """
+
+    domain: tuple[int, ...]
+    anchors: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+
+
+def _spine_frame(t: Tree, spine: Sequence[int]) -> _SpineFrame:
+    """Frame whose domain is `spine`, then its off-spine neighbors in
+    ascending id."""
+    on_spine = set(spine)
+    off_spine = sorted({w for v in spine for w in t.adjacency[v]} - on_spine)
+    return _certified_frame(t, spine, off_spine)
+
+
+def _certified_frame(
+    t: Tree, spine: Sequence[int], off_spine: Sequence[int]
+) -> _SpineFrame:
+    """Raise CertificateError unless the spine is a path, the domain repeats
+    no vertex and every off-spine vertex has a spine neighbor; then the
+    domain is connected.  Edges are read from `t.adjacency`."""
+    adjacency = t.adjacency
+    if not spine:
+        raise CertificateError("witness certificate: the spine is not in the domain")
+    for a, b in zip(spine, spine[1:]):
+        if b not in adjacency[a]:
+            raise CertificateError(
+                f"witness certificate: spine vertices {a} and {b} are not adjacent"
+            )
+    domain = (*spine, *off_spine)
+    index = {v: i for i, v in enumerate(domain)}
+    if len(index) != len(domain):
+        raise CertificateError("witness certificate: the domain repeats a vertex")
+    length = len(spine)
+    anchors: list[int | None] = [None] * len(off_spine)
+    edges = []
+    for i, a in enumerate(domain):
+        for b in adjacency[a]:
+            j = index.get(b, -1)
+            if j > i:
+                edges.append((i, j))
+                if i < length <= j:
+                    anchors[j - length] = i
+    if None in anchors:
+        raise CertificateError(
+            "witness certificate: domain vertex "
+            f"{off_spine[anchors.index(None)]} has no spine neighbor"
+        )
+    return _SpineFrame(domain, tuple(anchors), tuple(edges))
+
+
+def _frame_images(
     t: Tree,
-    spine_x: Sequence[int],
+    frame: _SpineFrame,
     spine_y: Sequence[int],
     type_preserving: bool,
     depth: Sequence[int],
-) -> WitnessResult:
-    """Witness for two canonical spines of one signature class; `depth` is
-    any one distance row, which gives displacement parities."""
-    mapping = dict(zip(spine_x, spine_y))
-    used = set(spine_y)
+) -> list[int] | None:
+    """Certified images of the frame's domain for the canonical spine
+    `spine_y` of one signature class, or None when some anchor's image has
+    no unused neighbor left (the ball is too small).  `depth` is any one
+    distance row, which gives displacement parities."""
+    adjacency = t.adjacency
+    images = list(spine_y)
+    used = set(images)
     # A tree has no cycles, so each off-spine neighbor has one spine anchor.
-    off_spine = sorted(
-        (w, v) for v in spine_x for w in t.adjacency[v] if w not in mapping
-    )
-    for w, anchor in off_spine:
-        image = next((c for c in t.adjacency[mapping[anchor]] if c not in used), None)
-        if image is None:
-            return WitnessResult("ball_too_small", None)
-        mapping[w] = image
+    for anchor in frame.anchors:
+        for image in adjacency[images[anchor]]:
+            if image not in used:
+                break
+        else:
+            return None
+        images.append(image)
         used.add(image)
-    _certify_spine_map(t, spine_x, mapping)
-    # d(a, b) and depth[a] + depth[b] have the same parity on a tree.
-    if type_preserving and any((depth[a] + depth[b]) % 2 for a, b in mapping.items()):
-        raise CertificateError("type-preserving witness produced an odd displacement")
-    return WitnessResult("ok", PartialIsometry(mapping))
+    _certify_images(t, frame, images)
+    if type_preserving:
+        # d(a, b) and depth[a] + depth[b] have the same parity on a tree.
+        for a, b in zip(frame.domain, images):
+            if (depth[a] + depth[b]) % 2:
+                raise CertificateError(
+                    "type-preserving witness produced an odd displacement"
+                )
+    return images
+
+
+def _certify_images(t: Tree, frame: _SpineFrame, images: Sequence[int]) -> None:
+    """Raise CertificateError unless `images`, one per domain vertex of the
+    frame, are pairwise distinct and every frame edge goes to an edge."""
+    domain = frame.domain
+    if len(images) != len(domain):
+        raise CertificateError(
+            f"witness certificate: {len(images)} images for {len(domain)} domain vertices"
+        )
+    if len(set(images)) != len(images):
+        raise CertificateError("witness certificate: the map is not injective")
+    adjacency = t.adjacency
+    for i, j in frame.edges:
+        if images[j] not in adjacency[images[i]]:
+            raise CertificateError(
+                f"witness certificate: edge ({domain[i]}, {domain[j]}) goes to the "
+                f"non-edge ({images[i]}, {images[j]})"
+            )
 
 
 def _certify_spine_map(t: Tree, spine: Sequence[int], mapping: dict[int, int]) -> None:
@@ -192,32 +289,14 @@ def _certify_spine_map(t: Tree, spine: Sequence[int], mapping: dict[int, int]) -
 
     The domain must hold the path `spine` and otherwise only neighbors of
     spine vertices, which makes it connected; then injectivity plus every
-    domain edge going to an edge proves the map distance-preserving.
+    domain edge going to an edge proves the map distance-preserving.  This
+    is the frame's domain half followed by the image half.
     """
-    adjacency = t.adjacency
-    if len(set(mapping.values())) != len(mapping):
-        raise CertificateError("witness certificate: the map is not injective")
-    if not spine or any(v not in mapping for v in spine):
+    if any(v not in mapping for v in spine):
         raise CertificateError("witness certificate: the spine is not in the domain")
-    for a, b in zip(spine, spine[1:]):
-        if b not in adjacency[a]:
-            raise CertificateError(
-                f"witness certificate: spine vertices {a} and {b} are not adjacent"
-            )
     on_spine = set(spine)
-    for w in mapping:
-        if w not in on_spine and on_spine.isdisjoint(adjacency[w]):
-            raise CertificateError(
-                f"witness certificate: domain vertex {w} has no spine neighbor"
-            )
-    for a, image_a in mapping.items():
-        targets = adjacency[image_a]
-        for b in adjacency[a]:
-            if b in mapping and mapping[b] not in targets:
-                raise CertificateError(
-                    f"witness certificate: edge ({a}, {b}) goes to the non-edge "
-                    f"({image_a}, {mapping[b]})"
-                )
+    frame = _certified_frame(t, spine, [w for w in mapping if w not in on_spine])
+    _certify_images(t, frame, [mapping[v] for v in frame.domain])
 
 
 @dataclass(frozen=True)
@@ -267,9 +346,13 @@ def orbit_class_census(
     the ball of radius diameter_cap + 1 about `root`, with spine length at
     most diameter_cap, taken in sorted order so each bucket's first member
     is its lowest tuple.  Signatures are read off those spines, with types
-    from the root's distance row, and each witness works on the spines
-    directly and is certified edge by edge (see `orbit_witness`).  The
-    root's row is the only distance row the census reads, so its memory
+    from the root's distance row.  Each bucket keeps the frame of its first
+    member's spine, whose domain half of the certificate is checked once,
+    when the bucket opens; each member then costs only its images and their
+    half of the certificate (see `orbit_witness`, which takes the same
+    path).  A broken certificate raises `CertificateError` naming the mode,
+    the degree, the class gaps and the representative and member tuples.
+    The root's row is the only distance row the census reads, so its memory
     scales with the ball, not with the square of the tree.
     """
     if degree < 0:
@@ -283,16 +366,26 @@ def orbit_class_census(
     tuples = sorted(
         aligned_spines(t, degree + 1, vertices=region, max_length=diameter_cap)
     )
-    # key -> [representative spine, size, witnessed]; members are
+    # key -> [frame, size, witnessed, representative]; members are
     # witnessed as they arrive, so no member list is kept.
     classes: dict[tuple, list] = {}
     too_small = 0
     for tup, walk in tuples:
         sig, spine = _spine_signature(tup, walk, droot, type_preserving)
-        entry = classes.setdefault(sig.class_key, [spine, 0, True])
+        entry = classes.get(sig.class_key)
+        try:
+            if entry is None:
+                entry = classes[sig.class_key] = [_spine_frame(t, spine), 0, True, tup]
+            images = _frame_images(t, entry[0], spine, type_preserving, droot)
+        except CertificateError as exc:
+            mode = "type-preserving" if type_preserving else "full"
+            rep = tup if entry is None else entry[3]
+            raise CertificateError(
+                f"{exc} (in the {mode} census of degree {degree}: class gaps "
+                f"{sig.gaps}, representative {rep}, member {tup})"
+            ) from exc
         entry[1] += 1
-        result = _spine_witness(t, entry[0], spine, type_preserving, droot)
-        if not result.ok:  # within one class only "ball_too_small"
+        if images is None:  # within one class only "ball_too_small"
             entry[2] = False
             too_small += 1
 
@@ -302,7 +395,7 @@ def orbit_class_census(
 
     records = []
     for key in sorted(classes, key=bucket_order):
-        _, count, witnessed = classes[key]
+        _, count, witnessed, _ = classes[key]
         records.append(
             OrbitClassRecord(type_bit=key[0], gaps=key[1], size=count, witnessed=witnessed)
         )

@@ -17,24 +17,32 @@ from itertools import combinations
 from typing import Sequence
 
 from .chains import AltChain, Rational
-from .trees import Tree, geodesic, segment_offsets
+from .trees import Tree, geodesic
 
 
 def project_tuple(t: Tree, tup: Sequence[int]) -> AltChain:
-    """Projection of a single (possibly unordered) tuple, as a chain."""
+    """Projection of a single (possibly unordered) tuple, as a chain.
+
+    The pairwise distances are read once from the entries' rows.  On the
+    segment [x_i, x_j] the point nearest x_k sits at offset
+    (d(x_k, x_i) + d(x_i, x_j) - d(x_k, x_j)) / 2 from x_i, so a pair whose
+    offsets repeat projects to a tuple with a repeated entry, which is
+    zero, and its geodesic is never built.
+    """
     x = tuple(tup)
     n = len(x) - 1
     if n < 0:
         raise ValueError("empty tuple has no degree")
     if n == 0:
         return AltChain.basis(x)
+    dist = [[row[w] for w in x] for row in map(t.distances_from, x)]
     pairs: list[tuple[tuple[int, ...], Rational]] = []
     for i, j in combinations(range(n + 1), 2):
-        u, v = x[i], x[j]
-        if u == v:
+        length = dist[i][j]
+        offsets = [(a + length - b) // 2 for a, b in zip(dist[i], dist[j])]
+        if len(set(offsets)) <= n:
             continue
-        seg = geodesic(t, u, v)
-        offsets = segment_offsets(t, u, v, len(seg) - 1, x)
+        seg = geodesic(t, x[i], x[j])
         pairs.append((tuple(seg[o] for o in offsets), 1))
     if not pairs:
         return AltChain.zero(n)
@@ -86,12 +94,12 @@ def caterpillar_layout(
     if not (0 <= i < j <= len(x) - 1):
         raise ValueError("need 0 <= i < j within the tuple")
     u, v = x[i], x[j]
-    if u == v:
-        return None
-    seg = geodesic(t, u, v)
-    offsets = segment_offsets(t, u, v, len(seg) - 1, x)
+    du, dv = t.distances_from(u), t.distances_from(v)
+    length = du[v]
+    offsets = [(du[w] + length - dv[w]) // 2 for w in x]
     if len(set(offsets)) != len(x):
         return None
+    seg = geodesic(t, u, v)
     order = tuple(sorted(range(len(x)), key=offsets.__getitem__))
     spine_points = tuple(seg[offsets[k]] for k in order)
     spine_positions = tuple(offsets[k] for k in order)

@@ -134,13 +134,14 @@ def test_orbit_report_cramped_tree_fails(workdir):
 def test_orbit_report_broken_certificate_exits_one(workdir, monkeypatch, capsys):
     # a witness that breaks its own certificate is an internal failure: the
     # run still writes a report, which names the breach, and exits 1
-    certify = orbits._certify_spine_map
+    certify = orbits._certify_images
 
-    def swap_spine_ends(t, spine, mapping):
-        mapping[spine[0]], mapping[spine[-1]] = mapping[spine[-1]], mapping[spine[0]]
-        certify(t, spine, mapping)
+    def swap_spine_ends(t, frame, images):
+        last = len(frame.domain) - len(frame.anchors) - 1
+        images[0], images[last] = images[last], images[0]
+        certify(t, frame, images)
 
-    monkeypatch.setattr(orbits, "_certify_spine_map", swap_spine_ends)
+    monkeypatch.setattr(orbits, "_certify_images", swap_spine_ends)
     code = main(
         [
             "orbit-report",
@@ -155,6 +156,11 @@ def test_orbit_report_broken_certificate_exits_one(workdir, monkeypatch, capsys)
         "CertificateError: witness certificate: edge"
     )
     assert "goes to the non-edge" in doc["summary"]["internal_error"]
+    # the census names the instance: mode, degree, class and both tuples
+    assert doc["summary"]["internal_error"].endswith(
+        "(in the type-preserving census of degree 1: class gaps (1,), "
+        "representative (0, 1), member (0, 1))"
+    )
     assert "internal error" in capsys.readouterr().err
 
 

@@ -6,8 +6,11 @@ import pytest
 
 from alignedchains.orbits import (
     CertificateError,
+    _certify_images,
     _certify_spine_map,
+    _frame_images,
     _signature_data,
+    _spine_frame,
     aligned_signature,
     orbit_class_census,
     orbit_witness,
@@ -225,6 +228,73 @@ def test_certificate_rejects_a_domain_off_the_spine():
         _certify_spine_map(t, [0, 1], {0: 0, 1: 1, 3: 3})
     with pytest.raises(CertificateError, match="not adjacent"):
         _certify_spine_map(t, [0, 2], {0: 0, 2: 2, 1: 1})
+
+
+@pytest.mark.parametrize("tree", [regular_ball(3, 4), random_tree(40, "frame-reuse")])
+def test_one_frame_serves_every_member_of_a_class(tree):
+    # the census builds one frame per class from the representative and
+    # checks each member by its images alone; that must be the witness
+    depth = tree.distances_from(0)
+    statuses = set()
+    for degree in (1, 2):
+        for type_preserving in (True, False):
+            frames: dict[tuple, tuple] = {}
+            for tup in aligned_tuples(tree, degree + 1):
+                sig, spine = _signature_data(tree, tup, type_preserving)
+                if sig.class_key not in frames:
+                    frames[sig.class_key] = (tup, _spine_frame(tree, spine))
+                rep, frame = frames[sig.class_key]
+                images = _frame_images(tree, frame, spine, type_preserving, depth)
+                result = orbit_witness(tree, rep, tup, type_preserving)
+                statuses.add(result.status)
+                if images is None:
+                    assert result.status == "ball_too_small", (rep, tup)
+                    continue
+                assert result.ok, (rep, tup, result.status)
+                mapping = dict(zip(frame.domain, images))
+                assert result.isometry.mapping == mapping
+                PartialIsometry(mapping).validate(tree)
+    assert statuses == {"ok", "ball_too_small"}
+
+
+def test_image_half_rejects_mutated_images():
+    t = regular_ball(3, 5)
+    _, spine_x = _signature_data(t, (0, 1, 4), True)
+    _, spine_y = _signature_data(t, (4, 10, 22), True)
+    frame = _spine_frame(t, spine_x)
+    images = _frame_images(t, frame, spine_y, True, t.distances_from(0))
+    assert images is not None
+    _certify_images(t, frame, images)
+    length = len(frame.domain) - len(frame.anchors)
+
+    swapped = list(images)
+    swapped[0], swapped[length - 1] = swapped[length - 1], swapped[0]
+    with pytest.raises(CertificateError, match="goes to the non-edge"):
+        _certify_images(t, frame, swapped)
+
+    # a fold sends two off-spine neighbours of one anchor to one image
+    m, k = next(
+        (m, k)
+        for m, k in combinations(range(len(frame.anchors)), 2)
+        if frame.anchors[m] == frame.anchors[k]
+    )
+    folded = list(images)
+    folded[length + m] = folded[length + k]
+    with pytest.raises(CertificateError, match="not injective"):
+        _certify_images(t, frame, folded)
+
+    # an off-spine image moved to an unused vertex two steps from its
+    # anchor's image keeps injectivity but breaks the anchor edge
+    anchor_image = images[frame.anchors[0]]
+    far = next(
+        c
+        for c in t.vertices()
+        if t.distance(c, anchor_image) == 2 and c not in images
+    )
+    moved = list(images)
+    moved[length] = far
+    with pytest.raises(CertificateError, match="goes to the non-edge"):
+        _certify_images(t, frame, moved)
 
 
 def test_census_reads_only_the_root_row():

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alignedchains.projection as projection
 from alignedchains.chains import AltChain
 from alignedchains.projection import (
     bracket_from_layout,
@@ -16,7 +18,14 @@ from alignedchains.projection import (
     verify_bracket_identities,
     verify_chain_map,
 )
-from alignedchains.trees import build_tree, is_aligned, path_tree, random_tree, regular_ball
+from alignedchains.trees import (
+    build_tree,
+    is_aligned,
+    path_tree,
+    project_to_segment,
+    random_tree,
+    regular_ball,
+)
 
 
 def tripod():
@@ -155,3 +164,27 @@ def test_naturality_under_reflection():
         lhs = project_tuple(p, tuple(g[v] for v in tup))
         rhs = project_tuple(p, tup).map_vertices(g.__getitem__)
         assert lhs == rhs
+
+
+def test_projection_builds_geodesics_only_for_pairs_with_distinct_offsets(monkeypatch):
+    # a pair whose projections collide gives a zero term, so its segment
+    # is never walked; the offsets come from distances alone
+    t = regular_ball(3, 6)
+    x = (55, 77, 91, 103, 122, 149)
+    live = [
+        (i, j)
+        for i, j in combinations(range(len(x)), 2)
+        if len({project_to_segment(t, w, x[i], x[j]) for w in x}) == len(x)
+    ]
+    assert 0 < len(live) < 15
+    expected = project_tuple(t, x)
+    walked = []
+    real = projection.geodesic
+
+    def counting(tree, u, v):
+        walked.append((u, v))
+        return real(tree, u, v)
+
+    monkeypatch.setattr(projection, "geodesic", counting)
+    assert project_tuple(t, x) == expected
+    assert walked == [(x[i], x[j]) for i, j in live]
