@@ -6,7 +6,8 @@ entry are the zero chain.  Chains are stored on canonical keys (strictly
 increasing tuples).  Coefficients are Python ints until a true fraction
 appears, then Fractions; the two mix exactly, so equality checks are
 exact.  `signed_faces` is the one place that writes out the signed faces
-of a canonical tuple.
+of a canonical tuple.  Chains have no text format of their own; no report
+writes one out.
 """
 
 from __future__ import annotations
@@ -182,29 +183,3 @@ class AltChain:
         extra = "" if len(self.terms) <= 4 else f" ... ({len(self.terms)} terms)"
         return f"AltChain({body}{extra})"
 
-
-def chain_to_lines(chain: AltChain) -> list[str]:
-    """Serialize as `coeff v0 v1 ... vn` lines, rationals as p/q."""
-    return [
-        " ".join([str(coeff)] + [str(v) for v in key]) for key, coeff in chain.items()
-    ]
-
-
-def chain_from_lines(lines: Iterable[str], degree: int | None = None) -> AltChain:
-    """Parse the line format; blank lines and # comments are skipped."""
-    pairs: list[tuple[tuple[int, ...], Fraction]] = []
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        coeff = Fraction(parts[0])
-        tup = tuple(int(p) for p in parts[1:])
-        if degree is not None and len(tup) - 1 != degree:
-            raise ValueError(f"expected degree {degree}, got tuple {tup}")
-        pairs.append((tup, coeff))
-    if not pairs:
-        if degree is None:
-            raise ValueError("empty chain needs an explicit degree")
-        return AltChain.zero(degree)
-    return AltChain.from_tuples(pairs)

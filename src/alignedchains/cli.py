@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .exactness import aligned_exactness, full_exactness
@@ -86,6 +85,8 @@ class ExperimentConfig:
             raise ValueError("--degree must be at least 1")
         if self.nmax < 0:
             raise ValueError("--nmax must be non-negative")
+        if self.samples < 0:
+            raise ValueError("--samples must be non-negative")
 
     def output_path(self) -> str:
         return self.out or f"{self.command}-report.{self.format}"

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, combinations, count, islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, combinations, islice, repeat
+from typing import Iterable, Iterator
 
 from .chains import signed_faces
 from .limits import DEFAULT_DIM_CAP, CapExceeded
@@ -104,42 +104,17 @@ class DegreeExactness:
         return asdict(self)
 
 
-def _default_bases(
-    vertices: Sequence[int],
-    membership: Callable[[tuple[int, ...]], bool] | None,
-    dim_cap: int,
-) -> Iterator[list[tuple[int, ...]]]:
-    """Levels of the subsets of `vertices` kept by `membership`, by size."""
-    ids = sorted(vertices)
-    for size in count(1):
-        raw = math.comb(len(ids), size)
-        if raw > dim_cap:
-            raise CapExceeded(
-                f"{raw} candidate tuples of size {size} exceed the cap {dim_cap}"
-            )
-        combos = combinations(ids, size)
-        if membership is None:
-            yield list(combos)
-        else:
-            yield [tup for tup in combos if membership(tup)]
-
-
 def verify_exactness(
-    vertices: Sequence[int],
+    bases: Iterable[Iterable[tuple[int, ...]]],
     n_max: int,
-    membership: Callable[[tuple[int, ...]], bool] | None = None,
     *,
-    bases: Iterable[Iterable[tuple[int, ...]]] | None = None,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> list[DegreeExactness]:
     """Check exactness of the (sub)complex at degrees 0..n_max.
 
-    The bases of the chain groups are read level by level, the tuples with
-    1 entry first, up to n_max + 2 entries.  By default the level of size
-    k holds the k-subsets of `vertices` kept by `membership` (all of them
-    when None).  Otherwise `bases` yields the levels in order, for
-    instance as a generator that grows each level from the one before,
-    and `vertices` is not read.  Only the first n_max + 2 levels are read,
+    `bases` yields the bases of the chain groups level by level, the
+    tuples with 1 entry first, for instance as a generator that grows each
+    level from the one before.  Only the first n_max + 2 levels are read,
     each up to dim_cap + 1 tuples in any order, all before any elimination,
     so a cap stops the check before a lazy level is drawn in full.  The
     levels must hold canonical tuples of a face-closed family, which is
@@ -147,12 +122,6 @@ def verify_exactness(
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if bases is None:
-        if not len(vertices):
-            raise ValueError("empty vertex set")
-        bases = _default_bases(vertices, membership, dim_cap)
-    elif membership is not None:
-        raise ValueError("give membership or bases, not both")
 
     levels: list[list[tuple[int, ...]]] = []
     for size, level in zip(range(1, n_max + 3), bases):
@@ -179,7 +148,7 @@ def verify_exactness(
             if face not in rows
         )
         raise ValueError(
-            f"membership is not closed under faces: {face} missing (face of {tup})"
+            f"bases are not closed under faces: {face} missing (face of {tup})"
         )
 
     def boundary_columns(
@@ -222,7 +191,11 @@ def full_exactness(
     point_count: int, n_max: int, *, dim_cap: int = DEFAULT_DIM_CAP
 ) -> list[DegreeExactness]:
     """Exactness of the full complex on a plain finite vertex set."""
-    return verify_exactness(range(point_count), n_max, dim_cap=dim_cap)
+    return verify_exactness(
+        (combinations(range(point_count), k) for k in range(1, n_max + 3)),
+        n_max,
+        dim_cap=dim_cap,
+    )
 
 
 def aligned_exactness(
@@ -230,10 +203,7 @@ def aligned_exactness(
 ) -> list[DegreeExactness]:
     """Exactness of the subcomplex of aligned tuples of a tree."""
     return verify_exactness(
-        t.vertices(),
+        ((tup for tup, _ in aligned_spines(t, size)) for size in range(1, n_max + 3)),
         n_max,
-        bases=(
-            (tup for tup, _ in aligned_spines(t, size)) for size in range(1, n_max + 3)
-        ),
         dim_cap=dim_cap,
     )

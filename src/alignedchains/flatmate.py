@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 from .chains import AltChain
 from .exactness import DegreeExactness, verify_exactness
 from .limits import DEFAULT_DIM_CAP, DEFAULT_LP_BASIS_CAP, CapExceeded
-from .lp import BoundaryProblem, PreimageResult, min_l1_preimage
+from .lp import BoundaryProblem, min_l1_preimage
 from .trees import Tree, aligned_tuples, convex_hull, geodesic, is_aligned, path_tree
 
 
@@ -167,10 +167,7 @@ def flatmate_exactness(
     """Exactness of the flatmate subcomplex at degrees 0..n_max, on bases
     grown in one pass of `_flatmate_levels`."""
     return verify_exactness(
-        p.vertices(),
-        n_max,
-        bases=_flatmate_levels(p, n_max + 2, dim_cap=dim_cap),
-        dim_cap=dim_cap,
+        _flatmate_levels(p, n_max + 2, dim_cap=dim_cap), n_max, dim_cap=dim_cap
     )
 
 
@@ -208,44 +205,11 @@ def hull_problem(p: ProductComplex, degree: int, chain: AltChain) -> BoundaryPro
     coords = [p.decode(v) for key in chain.terms for v in key]
     if not coords:
         raise ValueError("hull of the zero chain is undefined")
-    h1 = sorted(convex_hull(p.factor1, [a for a, _ in coords]).vertices)
-    h2 = sorted(convex_hull(p.factor2, [b for _, b in coords]).vertices)
+    h1 = sorted(convex_hull(p.factor1, [a for a, _ in coords]))
+    h2 = sorted(convex_hull(p.factor2, [b for _, b in coords]))
     window = [p.encode(a, b) for a in h1 for b in h2]
     *_, rows, columns = _flatmate_levels(p, degree + 2, window)
     return BoundaryProblem(degree, tuple(rows), tuple(columns))
-
-
-def sample_unit_cycles(
-    problem: BoundaryProblem,
-    count: int,
-    rng: random.Random,
-    *,
-    terms: int = 3,
-) -> list[tuple[AltChain, tuple[tuple[int, ...], ...]]]:
-    """Random unit-l1 cycles paired with the columns that produced them.
-
-    Each cycle is the boundary of a sparse random column chain, normalized
-    to unit norm; the producing columns make a warm start for the filling
-    LP.  Sampling boundaries gives exactly the cycle space whenever the
-    complex is exact at the problem degree, which callers establish first.
-    Zero boundaries are discarded and redrawn.
-    """
-    if not problem.columns:
-        return []
-    out: list[tuple[AltChain, tuple[tuple[int, ...], ...]]] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 50 * count + 50:
-            raise RuntimeError("cycle sampling kept producing zero boundaries")
-        width = min(terms, len(problem.columns))
-        picked = rng.sample(problem.columns, width)
-        coeffs = [rng.choice((-2, -1, 1, 2)) for _ in picked]
-        z = AltChain.from_tuples(list(zip(picked, coeffs))).boundary()
-        if z.is_zero():
-            continue
-        out.append((z * (1 / z.l1_norm()), tuple(sorted(picked))))
-    return out
 
 
 def _tree_diameter(t: Tree) -> int:

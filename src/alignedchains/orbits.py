@@ -9,6 +9,9 @@ the parity of the total length, because segment ends at odd distance sit
 in opposite bipartition classes.  Positions are indices on the spine, and
 the bipartition class of v is the parity of depth[v] + depth[0] for any
 one distance row `depth`, so a census reads its root's row and no other.
+The census and the witnesses compare only this (type, gaps) class key,
+read straight off each tuple's spine; `aligned_signature`, the public
+form, adds the sign of sorting the tuple into canonical spine order.
 
 Witnesses are explicit partial isometries built spine-to-spine and then
 extended one step outward, so a successful witness certifies membership in
@@ -67,42 +70,32 @@ def _spine_signature(
     spine: Sequence[int],
     depth: Sequence[int],
     type_preserving: bool,
-) -> tuple[AlignedSignature, Sequence[int]]:
-    """Signature of an aligned tuple with distinct entries, plus its spine
-    in canonical orientation.
+) -> tuple[tuple[int | None, tuple[int, ...]], Sequence[int]]:
+    """Class key (type, gaps) of an aligned tuple with distinct entries,
+    plus its spine in canonical orientation.
 
     `spine` is the geodesic between the tuple's extremal pair, lowest id
     first, and `depth` is any one distance row of the tree.
     """
-    index = [spine.index(v) for v in tup]
-    order_f = tuple(sorted(range(len(tup)), key=index.__getitem__))
-    pos_f = [index[k] for k in order_f]
-    gaps_f = tuple(pos_f[m + 1] - pos_f[m] for m in range(len(pos_f) - 1))
+    pos = sorted(map(spine.index, tup))
+    gaps_f = tuple(b - a for a, b in zip(pos, pos[1:]))
     gaps_r = gaps_f[::-1]
     type_f = (depth[spine[0]] + depth[0]) % 2
     type_r = (type_f + len(spine) - 1) % 2
-
-    if type_preserving:
-        use_forward = (type_f, gaps_f) <= (type_r, gaps_r)
+    if not type_preserving:
+        type_f = type_r = None
+        forward = gaps_f <= gaps_r
     else:
-        use_forward = gaps_f <= gaps_r
-    if use_forward:
-        chosen_type, chosen_gaps, order = type_f, gaps_f, order_f
-    else:
-        chosen_type, chosen_gaps, order = type_r, gaps_r, order_f[::-1]
-        spine = spine[::-1]
-    sig = AlignedSignature(
-        chosen_type if type_preserving else None,
-        chosen_gaps,
-        canonicalize_tuple(order)[1],
-    )
-    return sig, spine
+        forward = (type_f, gaps_f) <= (type_r, gaps_r)
+    if forward:
+        return (type_f, gaps_f), spine
+    return (type_r, gaps_r), spine[::-1]
 
 
 def _signature_data(
     t: Tree, tup: Sequence[int], type_preserving: bool
-) -> tuple[AlignedSignature, Sequence[int]]:
-    """Signature plus the spine geodesic in its canonical orientation."""
+) -> tuple[tuple[int | None, tuple[int, ...]], Sequence[int]]:
+    """Class key plus the spine geodesic in its canonical orientation."""
     x = tuple(tup)
     if len(set(x)) != len(x):
         raise ValueError("signature needs pairwise distinct entries")
@@ -118,8 +111,10 @@ def aligned_signature(
     t: Tree, tup: Sequence[int], type_preserving: bool = True
 ) -> AlignedSignature:
     """Reversal-canonical signature of an aligned tuple with distinct entries."""
-    sig, _ = _signature_data(t, tup, type_preserving)
-    return sig
+    x = tuple(tup)
+    (type_bit, gaps), spine = _signature_data(t, x, type_preserving)
+    order = sorted(range(len(x)), key=lambda k: spine.index(x[k]))
+    return AlignedSignature(type_bit, gaps, canonicalize_tuple(tuple(order))[1])
 
 
 @dataclass(frozen=True)
@@ -159,9 +154,9 @@ def orbit_witness(
     type-preserving mode every displacement of the returned map is even.
     A broken certificate raises `CertificateError`.
     """
-    sig_x, spine_x = _signature_data(t, x, type_preserving)
-    sig_y, spine_y = _signature_data(t, y, type_preserving)
-    if sig_x.class_key != sig_y.class_key:
+    key_x, spine_x = _signature_data(t, x, type_preserving)
+    key_y, spine_y = _signature_data(t, y, type_preserving)
+    if key_x != key_y:
         return WitnessResult("signature_mismatch", None)
     frame = _spine_frame(t, spine_x)
     images = _frame_images(t, frame, spine_y, type_preserving, t.distances_from(0))
@@ -371,18 +366,18 @@ def orbit_class_census(
     classes: dict[tuple, list] = {}
     too_small = 0
     for tup, walk in tuples:
-        sig, spine = _spine_signature(tup, walk, droot, type_preserving)
-        entry = classes.get(sig.class_key)
+        key, spine = _spine_signature(tup, walk, droot, type_preserving)
+        entry = classes.get(key)
         try:
             if entry is None:
-                entry = classes[sig.class_key] = [_spine_frame(t, spine), 0, True, tup]
+                entry = classes[key] = [_spine_frame(t, spine), 0, True, tup]
             images = _frame_images(t, entry[0], spine, type_preserving, droot)
         except CertificateError as exc:
             mode = "type-preserving" if type_preserving else "full"
             rep = tup if entry is None else entry[3]
             raise CertificateError(
                 f"{exc} (in the {mode} census of degree {degree}: class gaps "
-                f"{sig.gaps}, representative {rep}, member {tup})"
+                f"{key[1]}, representative {rep}, member {tup})"
             ) from exc
         entry[1] += 1
         if images is None:  # within one class only "ball_too_small"

@@ -20,9 +20,6 @@ from fractions import Fraction
 from io import StringIO
 from typing import Any
 
-FORMATS = ("json", "csv")
-
-
 def rational_str(value: Fraction | int) -> str:
     """`p/q` form, plain integer when the denominator is 1."""
     return str(Fraction(value))

@@ -39,9 +39,6 @@ class Tree:
     def vertices(self) -> range:
         return range(len(self.adjacency))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -270,27 +267,15 @@ def project_to_segment(t: Tree, w: int, u: int, v: int) -> int:
     return geodesic(t, u, v)[offset]
 
 
-@dataclass(frozen=True)
-class ConvexHull:
-    """Vertex set of the subtree spanned by a tuple, plus its leaves."""
-
-    vertices: frozenset[int]
-    leaves: frozenset[int]
-
-
-def convex_hull(t: Tree, tup: Sequence[int]) -> ConvexHull:
+def convex_hull(t: Tree, tup: Sequence[int]) -> frozenset[int]:
+    """Vertex set of the subtree spanned by a tuple."""
     if not tup:
         raise ValueError("hull of an empty tuple is undefined")
     points = sorted(set(tup))
     verts: set[int] = {points[0]}
     for a, b in combinations(points, 2):
         verts.update(geodesic(t, a, b))
-    leaves = set()
-    for v in verts:
-        inside = sum(1 for w in t.adjacency[v] if w in verts)
-        if inside <= 1:
-            leaves.add(v)
-    return ConvexHull(frozenset(verts), frozenset(leaves))
+    return frozenset(verts)
 
 
 def diametral_pair(t: Tree, tup: Sequence[int]) -> tuple[int, int] | None:
@@ -398,20 +383,11 @@ class PartialIsometry:
     def __init__(self, mapping: dict[int, int]):
         self.mapping = dict(mapping)
 
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.mapping
-
     def apply(self, v: int) -> int:
         return self.mapping[v]
 
     def domain(self) -> set[int]:
         return set(self.mapping)
-
-    def image(self) -> set[int]:
-        return set(self.mapping.values())
 
     def validate(self, t: Tree) -> None:
         """Raise ValueError unless injective and distance-preserving on t."""
@@ -426,9 +402,6 @@ class PartialIsometry:
                     raise ValueError(
                         f"distance mismatch: d({a1},{a2})={d1[a2]} but d({b1},{b2})={e1[b2]}"
                     )
-
-    def max_displacement(self, t: Tree) -> int:
-        return max((t.distance(a, b) for a, b in self.mapping.items()), default=0)
 
     def has_even_displacement(self, t: Tree) -> bool:
         return all(t.distance(a, b) % 2 == 0 for a, b in self.mapping.items())

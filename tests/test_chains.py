@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from alignedchains.chains import (
     AltChain,
     canonicalize_tuple,
-    chain_from_lines,
-    chain_to_lines,
     signed_faces,
 )
 
@@ -117,19 +115,3 @@ def test_map_vertices_collapse():
 def test_mixed_degree_rejected():
     with pytest.raises(ValueError):
         AltChain.from_tuples([((0, 1), 1), ((0, 1, 2), 1)])
-
-
-@given(st.lists(st.tuples(tuples3, coeffs), min_size=1, max_size=6))
-@settings(max_examples=40)
-def test_line_serialization_roundtrip(pairs):
-    chain = AltChain.from_tuples(pairs)
-    again = chain_from_lines(chain_to_lines(chain), degree=2)
-    assert again == chain
-
-
-def test_line_parsing():
-    chain = chain_from_lines(["1/2 0 1", "# note", "", "-3 2 4"])
-    assert chain.terms == {(0, 1): Fraction(1, 2), (2, 4): Fraction(-3)}
-    with pytest.raises(ValueError):
-        chain_from_lines(["1 0 1 2"], degree=1)
-    assert chain_from_lines([], degree=4).is_zero()

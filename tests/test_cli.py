@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -95,6 +96,10 @@ def test_verify_pate_and_norm_phi(workdir):
     assert pate["summary"]["failures"] == 0
     norm = load_report(workdir / "norm-phi-report.json")
     assert norm["summary"]["bound_violations"] == 0
+    # norms are written p/q, with the denominator even on integers
+    for rec in norm["results"]:
+        for field in ("max_norm", "standard_max_norm"):
+            assert re.fullmatch(r"\d+/[1-9]\d*", rec[field]), (field, rec[field])
 
 
 def test_orbit_report_both_modes(workdir):
@@ -213,10 +218,15 @@ def test_config_errors_exit_two(workdir, capsys):
          "--growth-threshold", "0"],
         ["verify-exactness", "--random", "40", "--seed", "s",
          "--vertex-cap", "10"],
+        ["verify-chainmap", "--regular", "3", "--radius", "2",
+         "--samples", "-5", "--seed", "s"],
+        ["flatmate-probe", "--path-family", "2", "3", "--samples", "-2",
+         "--seed", "s"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.strip()
+    assert not list(workdir.glob("*-report.*"))
 
 
 def test_orbit_report_root_outside_tree_exits_two(workdir, capsys):

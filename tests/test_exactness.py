@@ -85,20 +85,29 @@ def test_aligned_exactness_path_matches_full():
     assert [rec.to_record() for rec in full] == [rec.to_record() for rec in aligned]
 
 
+def filtered_levels(vertices, keep, top_size):
+    """Levels of the subsets of `vertices` kept by `keep`, sizes 1..top_size."""
+    return [
+        [tup for tup in combinations(vertices, size) if keep(tup)]
+        for size in range(1, top_size + 1)
+    ]
+
+
 def test_membership_must_be_face_closed():
     # size-2 family without its size-1 faces
     def membership(tup):
         return len(tup) != 1 or tup[0] == 0
 
     with pytest.raises(ValueError, match="closed under faces"):
-        verify_exactness(range(4), 1, membership)
+        verify_exactness(filtered_levels(range(4), membership, 3), 1)
 
 
 def test_face_closure_checked_past_the_early_stop():
     # (3, 4) is missing, but the triples that have it as a face come after
     # the elimination has already reached its kernel-dimension bound
+    levels = filtered_levels(range(5), lambda tup: tup != (3, 4), 3)
     with pytest.raises(ValueError, match="closed under faces"):
-        verify_exactness(range(5), 1, lambda tup: tup != (3, 4))
+        verify_exactness(levels, 1)
 
 
 def test_dim_cap_enforced():
@@ -156,7 +165,7 @@ def test_fallback_recovers_rational_rank():
     ]
     assert rank_of_columns(columns) == 10
 
-    records = verify_exactness(range(6), 2, rp2_membership)
+    records = verify_exactness(filtered_levels(range(6), rp2_membership, 4), 2)
     assert records[1].dim == 15
     assert records[1].image_rank == records[1].kernel_dim == 10
     assert all(rec.exact for rec in records)
@@ -244,7 +253,7 @@ def test_inexact_degree_inserts_each_column_once(monkeypatch):
 
     monkeypatch.setattr(ColumnEchelon, "insert", recording_insert)
     levels = clique_levels(16, 0.6, 1, 4)
-    records = verify_exactness((), 2, bases=levels)
+    records = verify_exactness(levels, 2)
     assert not records[2].exact  # the elimination runs out of columns here
     assert len(inserted) == len(set(inserted))
 
@@ -256,12 +265,12 @@ def test_bases_must_be_face_closed_past_the_early_stop():
         for size in (1, 2, 3)
     ]
     with pytest.raises(ValueError, match="closed under faces"):
-        verify_exactness(range(5), 1, bases=levels)
+        verify_exactness(levels, 1)
     with pytest.raises(ValueError, match="closed under faces"):
-        verify_exactness(range(5), 1, bases=iter(levels))
+        verify_exactness(iter(levels), 1)
     # a pair whose vertex is missing fails before any early stop
     with pytest.raises(ValueError, match="closed under faces"):
-        verify_exactness(range(3), 0, bases=[[(0,), (1,)], [(0, 1), (0, 2)]])
+        verify_exactness([[(0,), (1,)], [(0, 1), (0, 2)]], 0)
 
 
 def test_bases_are_read_up_to_n_max_plus_two():
@@ -271,13 +280,9 @@ def test_bases_are_read_up_to_n_max_plus_two():
                 raise AssertionError("read a level past n_max + 2")
             yield combinations(range(5), size)
 
-    assert _records(verify_exactness((), 1, bases=levels())) == _records(
-        full_exactness(5, 1)
-    )
+    assert _records(verify_exactness(levels(), 1)) == _records(full_exactness(5, 1))
     with pytest.raises(ValueError, match="2 levels, 3 needed"):
-        verify_exactness(range(5), 1, bases=[[(0,)], []])
-    with pytest.raises(ValueError, match="not both"):
-        verify_exactness(range(5), 1, lambda tup: True, bases=levels())
+        verify_exactness([[(0,)], []], 1)
 
 
 @pytest.mark.parametrize(
@@ -291,10 +296,11 @@ def test_bases_are_read_up_to_n_max_plus_two():
 )
 def test_one_pass_flatmate_bases_match_per_size_bases(p, n_max):
     sizes = range(1, n_max + 3)
-    per_size = verify_exactness(
-        (), n_max, bases=[flatmate_tuples(p, size) for size in sizes]
+    per_size = verify_exactness([flatmate_tuples(p, size) for size in sizes], n_max)
+    membership = verify_exactness(
+        filtered_levels(p.vertices(), lambda tup: is_flatmate(p, tup), n_max + 2),
+        n_max,
     )
-    membership = verify_exactness(p.vertices(), n_max, lambda tup: is_flatmate(p, tup))
     one_pass = flatmate_exactness(p, n_max)
     assert _records(one_pass) == _records(per_size) == _records(membership)
     # the filter drops tuples from the top level
@@ -306,7 +312,7 @@ def test_one_pass_aligned_bases_match_per_size_bases():
         for t in nonisomorphic_trees(n):
             records = _records(aligned_exactness(t, 3))
             membership = verify_exactness(
-                t.vertices(), 3, lambda tup: is_aligned(t, tup)
+                filtered_levels(t.vertices(), lambda tup: is_aligned(t, tup), 5), 3
             )
             assert records == _records(membership)
             # a one-vertex second factor makes flatmate tuples aligned ones

@@ -20,7 +20,6 @@ from alignedchains.flatmate import (
     hull_problem,
     is_flatmate,
     path_product_family,
-    sample_unit_cycles,
     sample_window_cycles,
 )
 from alignedchains.limits import CapExceeded
@@ -59,8 +58,8 @@ def hull_windows(p: ProductComplex, count: int, seed: str) -> list[list[int]]:
         if z.is_zero():
             continue
         coords = [p.decode(v) for key in z.terms for v in key]
-        h1 = convex_hull(p.factor1, [a for a, _ in coords]).vertices
-        h2 = convex_hull(p.factor2, [b for _, b in coords]).vertices
+        h1 = convex_hull(p.factor1, [a for a, _ in coords])
+        h2 = convex_hull(p.factor2, [b for _, b in coords])
         windows.append(sorted(p.encode(a, b) for a in h1 for b in h2))
     return windows
 
@@ -133,8 +132,8 @@ def test_flatmate_tuples_over_hull_windows_match_brute_force():
         if z.is_zero():
             continue
         coords = [p.decode(v) for key in z.terms for v in key]
-        h1 = convex_hull(p.factor1, [a for a, _ in coords]).vertices
-        h2 = convex_hull(p.factor2, [b for _, b in coords]).vertices
+        h1 = convex_hull(p.factor1, [a for a, _ in coords])
+        h2 = convex_hull(p.factor2, [b for _, b in coords])
         window = sorted(p.encode(a, b) for a in h1 for b in h2)
         brute = {
             size: [tup for tup in combinations(window, size) if is_flatmate(p, tup)]
@@ -244,19 +243,6 @@ def test_hull_problem_window_is_small():
     assert set(r for row in problem.rows for r in row) <= {
         p.encode(a, b) for a in (0, 1) for b in (0, 1)
     }
-
-
-def test_sample_unit_cycles_properties():
-    p = ProductComplex(path_tree(3), path_tree(3))
-    problem = flatmate_boundary_problem(p, 1)
-    rng = random.Random(5)
-    cycles = sample_unit_cycles(problem, 12, rng)
-    assert len(cycles) == 12
-    col_set = set(problem.columns)
-    for z, witness in cycles:
-        assert z.l1_norm() == 1
-        assert z.boundary().is_zero()
-        assert set(witness) <= col_set
 
 
 def test_sample_window_cycles_properties():

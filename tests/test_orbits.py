@@ -240,10 +240,10 @@ def test_one_frame_serves_every_member_of_a_class(tree):
         for type_preserving in (True, False):
             frames: dict[tuple, tuple] = {}
             for tup in aligned_tuples(tree, degree + 1):
-                sig, spine = _signature_data(tree, tup, type_preserving)
-                if sig.class_key not in frames:
-                    frames[sig.class_key] = (tup, _spine_frame(tree, spine))
-                rep, frame = frames[sig.class_key]
+                key, spine = _signature_data(tree, tup, type_preserving)
+                if key not in frames:
+                    frames[key] = (tup, _spine_frame(tree, spine))
+                rep, frame = frames[key]
                 images = _frame_images(tree, frame, spine, type_preserving, depth)
                 result = orbit_witness(tree, rep, tup, type_preserving)
                 statuses.add(result.status)

@@ -131,11 +131,8 @@ def test_project_to_segment_cases():
 
 def test_convex_hull_tripod():
     t = tripod()
-    hull = convex_hull(t, (1, 2, 3))
-    assert hull.vertices == frozenset({0, 1, 2, 3})
-    assert hull.leaves == frozenset({1, 2, 3})
-    seg = convex_hull(t, (1, 2))
-    assert seg.vertices == frozenset({0, 1, 2})
+    assert convex_hull(t, (1, 2, 3)) == frozenset({0, 1, 2, 3})
+    assert convex_hull(t, (1, 2)) == frozenset({0, 1, 2})
 
 
 def test_is_aligned():
@@ -246,7 +243,6 @@ def test_partial_isometry_validate():
 def test_partial_isometry_displacement():
     p = path_tree(6)
     shift = PartialIsometry({0: 2, 1: 3})
-    assert shift.max_displacement(p) == 2
     assert shift.has_even_displacement(p)
     odd = PartialIsometry({0: 1})
     assert not odd.has_even_displacement(p)
