@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ValueError("--nmax must be non-negative")
         if self.samples < 0:
             raise ValueError("--samples must be non-negative")
+        if self.samples == 0 and self.command in RANDOMIZED:
+            raise ValueError(f"--samples must be positive for {self.command}")
 
     def output_path(self) -> str:
         return self.out or f"{self.command}-report.{self.format}"

@@ -10,11 +10,19 @@ rank(boundary from degree n+1) == dim ker(boundary out of degree n),
 which suffices because boundary-of-boundary is zero on any face-closed
 family.
 
-Ranks come from sparse, fraction-free column-echelon elimination on
-integer columns (in the spirit of Bareiss, 1968).  Every reduction step
-is an integer combination with a nonzero multiplier on the reduced
-column, and every division is an exact gcd cancellation, so the rank it
-counts is the rational rank, in one pass per degree.
+A discrete Morse matching certifies exactness first.  Vertex by vertex,
+each free tuple holding v is paired with its face without v; a sequence
+of such element matchings is acyclic (Jonsson, "Simplicial Complexes of
+Graphs", 2008, ch. 4), and with face coefficients of +-1 discrete Morse
+theory holds over Z (Forman, "Morse theory for cell complexes", 1998).
+So when no cell below the top level is left unpaired, every degree is
+exact and the ranks are pair counts, with no elimination.
+
+Otherwise ranks come from sparse, fraction-free column-echelon
+elimination on integer columns (in the spirit of Bareiss, 1968).  Every
+reduction step is an integer combination with a nonzero multiplier on
+the reduced column, and every division is an exact gcd cancellation, so
+the rank it counts is the rational rank, in one pass per degree.
 """
 
 from __future__ import annotations
@@ -118,7 +126,10 @@ def verify_exactness(
     each up to dim_cap + 1 tuples in any order, all before any elimination,
     so a cap stops the check before a lazy level is drawn in full.  The
     levels must hold canonical tuples of a face-closed family, which is
-    validated on every tuple of every level before any record is returned.
+    validated on every tuple of every level before the check starts.
+
+    The element matching decides first; elimination runs only when it
+    leaves a critical cell of at most n_max + 1 entries, the empty one too.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -132,52 +143,35 @@ def verify_exactness(
     if len(levels) < n_max + 2:
         raise ValueError(f"bases gave {len(levels)} levels, {n_max + 2} needed")
 
-    row_indices = [{tup: i for i, tup in enumerate(b)} for b in levels[:-1]]
-
-    def check_faces(k: int, tuples: Iterable[tuple[int, ...]]) -> None:
-        """Raise unless every face of every tuple is a row of degree k-1."""
-        rows = row_indices[k - 1]
-        tuples = list(tuples)
-        faces = chain.from_iterable(map(combinations, tuples, repeat(k)))
-        if all(map(rows.__contains__, faces)):
-            return
-        tup, face = next(
-            (tup, face)
-            for tup in tuples
-            for face in combinations(tup, k)
-            if face not in rows
-        )
-        raise ValueError(
-            f"bases are not closed under faces: {face} missing (face of {tup})"
-        )
-
-    def boundary_columns(
-        k: int, tuples: Iterable[tuple[int, ...]]
-    ) -> Iterator[dict[int, int]]:
-        """Columns of the boundary from degree k to degree k-1."""
-        rows = row_indices[k - 1]
-        for tup in tuples:
-            try:
-                yield {rows[face]: sign for face, sign in signed_faces(tup)}
-            except KeyError:
-                check_faces(k, [tup])  # raises, naming the missing face
-                raise
+    free = [set(b) for b in levels]
+    for k in range(1, n_max + 2):
+        _check_faces(free[k - 1], levels[k], k)
+    # matched[s] counts the pairs whose larger cell has s entries
+    matched = [0] * (n_max + 3)
+    for _, tup in _element_matching(levels, free):
+        matched[len(tup)] += 1
+    # the augmentation cell is matched and no cell below the top is critical
+    certified = matched[1] == 1 and not any(free[:-1])
 
     results: list[DegreeExactness] = []
     kernel_dim = max(len(levels[0]) - 1, 0)  # kernel of the augmentation
     for n in range(n_max + 1):
-        dim_n = len(levels[n])
-        # The target is a proven upper bound (boundary of boundary is
-        # zero), so hitting it early still reports the true rank.
-        tuples = iter(levels[n + 1])
-        image_rank = rank_of_columns(boundary_columns(n + 1, tuples), target=kernel_dim)
-        # That bound needs a face-closed family, so the tuples the early
-        # stop left unread are checked too.
-        check_faces(n + 1, tuples)
+        if certified:
+            image_rank = matched[n + 2]
+        else:
+            rows = {tup: i for i, tup in enumerate(levels[n])}
+            columns = (
+                {rows[face]: sign for face, sign in signed_faces(tup)}
+                for tup in levels[n + 1]
+            )
+            # The target is a proven upper bound (boundary of boundary is
+            # zero on a face-closed family), so hitting it early still
+            # reports the true rank.
+            image_rank = rank_of_columns(columns, target=kernel_dim)
         results.append(
             DegreeExactness(
                 degree=n,
-                dim=dim_n,
+                dim=len(levels[n]),
                 image_rank=image_rank,
                 kernel_dim=kernel_dim,
                 exact=image_rank == kernel_dim,
@@ -185,6 +179,49 @@ def verify_exactness(
         )
         kernel_dim = len(levels[n + 1]) - image_rank
     return results
+
+
+def _check_faces(rows: set, tuples: list[tuple[int, ...]], k: int) -> None:
+    """Raise unless every k-entry face of every tuple is in `rows`."""
+    faces = chain.from_iterable(map(combinations, tuples, repeat(k)))
+    if all(map(rows.__contains__, faces)):
+        return
+    tup, face = next(
+        (tup, face)
+        for tup in tuples
+        for face in combinations(tup, k)
+        if face not in rows
+    )
+    raise ValueError(
+        f"bases are not closed under faces: {face} missing (face of {tup})"
+    )
+
+
+def _element_matching(
+    levels: list[list[tuple[int, ...]]], free: list[set]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield the pairs (t - v, t) of the element matching on `levels`.
+
+    The lowest vertex takes the empty (augmentation) cell; then each vertex
+    v in ascending order pairs every free tuple t holding v with t - v when
+    that is free too.  `free[k]` starts as the set of `levels[k]` and is
+    consumed: what it holds at the end is critical.
+    """
+    if not levels[0]:
+        return
+    free[0].remove(levels[0][0])
+    yield (), levels[0][0]
+    for (v,) in levels[0]:
+        if not any(free[:-1]):
+            return
+        for low, high in zip(free, free[1:]):
+            for tup in [t for t in high if v in t]:
+                i = tup.index(v)
+                face = tup[:i] + tup[i + 1 :]
+                if face in low:
+                    low.remove(face)
+                    high.remove(tup)
+                    yield face, tup
 
 
 def full_exactness(

@@ -222,6 +222,10 @@ def test_config_errors_exit_two(workdir, capsys):
          "--samples", "-5", "--seed", "s"],
         ["flatmate-probe", "--path-family", "2", "3", "--samples", "-2",
          "--seed", "s"],
+        # a sampling command with no samples would pass having checked nothing
+        ["verify-chainmap", "--regular", "3", "--radius", "2",
+         "--samples", "0", "--seed", "s"],
+        ["verify-pate", "--random", "9", "--samples", "0", "--seed", "s"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

@@ -2,13 +2,15 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, count
+from functools import lru_cache
+from itertools import chain, combinations, count
 
 import pytest
 
 from alignedchains.chains import signed_faces
 from alignedchains.exactness import (
     ColumnEchelon,
+    _element_matching,
     aligned_exactness,
     full_exactness,
     rank_of_columns,
@@ -194,15 +196,38 @@ def dense_rank(columns, row_count):
     return rank
 
 
+def boundary_columns(low, high):
+    index = {tup: i for i, tup in enumerate(low)}
+    return [{index[face]: sign for face, sign in signed_faces(tup)} for tup in high]
+
+
 def assert_ranks_match_dense(levels):
     """Untargeted `rank_of_columns` equals `dense_rank` on the boundary
     between each pair of consecutive levels."""
     for low, high in zip(levels, levels[1:]):
-        index = {tup: i for i, tup in enumerate(low)}
-        columns = [
-            {index[face]: sign for face, sign in signed_faces(tup)} for tup in high
-        ]
+        columns = boundary_columns(low, high)
         assert rank_of_columns(columns) == dense_rank(columns, len(low)), high[:1]
+
+
+def dense_records(levels, n_max, ranks=None):
+    """Degree records built from `dense_rank` alone, given the boundary
+    ranks between consecutive levels or computing them."""
+    if ranks is None:
+        ranks = [
+            dense_rank(boundary_columns(low, high), len(low))
+            for low, high in zip(levels, levels[1:])
+        ]
+    ranks = [min(len(levels[0]), 1), *ranks]  # the augmentation first
+    return [
+        {
+            "degree": n,
+            "dim": len(levels[n]),
+            "image_rank": ranks[n + 1],
+            "kernel_dim": len(levels[n]) - ranks[n],
+            "exact": ranks[n + 1] == len(levels[n]) - ranks[n],
+        }
+        for n in range(n_max + 1)
+    ]
 
 
 def clique_levels(vertex_count, edge_probability, seed, top_size):
@@ -219,11 +244,24 @@ def clique_levels(vertex_count, edge_probability, seed, top_size):
     ]
 
 
-def test_rank_matches_dense_elimination_on_small_trees():
+@lru_cache(maxsize=None)
+def small_tree_dense_ranks():
+    """Aligned levels of sizes 1..5 of the 95 trees on 1..9 vertices, each
+    with the `dense_rank` of its boundaries."""
     trees = [t for n in range(1, 10) for t in nonisomorphic_trees(n)]
     assert len(trees) == 95  # unlabeled trees on 1..9 vertices
+    result = []
     for t in trees:
-        assert_ranks_match_dense([aligned_tuples(t, size) for size in range(1, 6)])
+        levels = [aligned_tuples(t, size) for size in range(1, 6)]
+        columns = [boundary_columns(low, high) for low, high in zip(levels, levels[1:])]
+        ranks = [dense_rank(c, len(low)) for c, low in zip(columns, levels)]
+        result.append((levels, columns, ranks))
+    return result
+
+
+def test_rank_matches_dense_elimination_on_small_trees():
+    for levels, columns, ranks in small_tree_dense_ranks():
+        assert [rank_of_columns(c) for c in columns] == ranks, levels[1][:1]
 
 
 def test_rank_matches_dense_elimination_on_products_and_clique_complexes():
@@ -243,7 +281,8 @@ def test_rank_matches_dense_elimination_on_products_and_clique_complexes():
     assert_ranks_match_dense(clique_levels(16, 0.6, 1, 5))
 
 
-def test_inexact_degree_inserts_each_column_once(monkeypatch):
+def record_inserts(monkeypatch):
+    """Record the column of every `ColumnEchelon.insert` call."""
     inserted = []
     insert = ColumnEchelon.insert
 
@@ -252,6 +291,11 @@ def test_inexact_degree_inserts_each_column_once(monkeypatch):
         return insert(self, column)
 
     monkeypatch.setattr(ColumnEchelon, "insert", recording_insert)
+    return inserted
+
+
+def test_inexact_degree_inserts_each_column_once(monkeypatch):
+    inserted = record_inserts(monkeypatch)
     levels = clique_levels(16, 0.6, 1, 4)
     records = verify_exactness(levels, 2)
     assert not records[2].exact  # the elimination runs out of columns here
@@ -318,3 +362,114 @@ def test_one_pass_aligned_bases_match_per_size_bases():
             # a one-vertex second factor makes flatmate tuples aligned ones
             flat = flatmate_exactness(ProductComplex(t, path_tree(1)), 3)
             assert records == _records(flat)
+
+
+def check_matching(levels, pairs):
+    """Check, without the producer's code, that `pairs` is an acyclic
+    matching on the complex with the empty cell and the cells of `levels`.
+
+    Each pair is a cell and its face without one vertex, and no cell is in
+    two pairs.  In the modified Hasse digraph (tuple -> face, reversed on
+    pairs) every directed cycle lies on two consecutive levels, so Kahn's
+    algorithm must empty the digraph on each such pair of levels.
+    """
+    cells = [[()], *levels]
+    present = set(chain.from_iterable(cells))
+    partner = {}
+    for low, high in pairs:
+        assert low in present and high in present, (low, high)
+        assert len(high) == len(low) + 1 and set(low) < set(high), (low, high)
+        assert low not in partner and high not in partner, (low, high)
+        partner[low], partner[high] = high, low
+    for lower, upper in zip(cells, cells[1:]):
+        successors = {cell: [] for cell in chain(lower, upper)}
+        indegree = dict.fromkeys(successors, 0)
+        for tup in upper:
+            for face in combinations(tup, len(tup) - 1):
+                assert face in successors, (face, tup)
+                src, dst = (face, tup) if partner.get(tup) == face else (tup, face)
+                successors[src].append(dst)
+                indegree[dst] += 1
+        ready = [cell for cell, d in indegree.items() if not d]
+        removed = 0
+        while ready:
+            removed += 1
+            for cell in successors[ready.pop()]:
+                indegree[cell] -= 1
+                if not indegree[cell]:
+                    ready.append(cell)
+        assert removed == len(indegree), f"the matching closes a cycle on {upper[:1]}"
+
+
+def producer_matching(levels):
+    levels = [sorted(level) for level in levels]
+    return levels, list(_element_matching(levels, [set(b) for b in levels]))
+
+
+def test_check_matching_rejects_a_two_level_cycle():
+    # the hollow triangle, each vertex paired with the next edge round it
+    levels = [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]]
+    check_matching(levels, [((), (0,)), ((1,), (1, 2))])
+    cycle = [((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))]
+    with pytest.raises(AssertionError, match="closes a cycle"):
+        check_matching(levels, cycle)
+    with pytest.raises(AssertionError):
+        check_matching(levels, [((0,), (0, 1)), ((0,), (0, 2))])  # (0,) twice
+
+
+def test_element_matching_is_acyclic():
+    complexes = [
+        [aligned_tuples(t, size) for size in range(1, 6)]
+        for n in range(1, 13)
+        for t in nonisomorphic_trees(n)
+    ]
+    assert len(complexes) == 987  # the trees of criterion 5
+    for p in (
+        ProductComplex(path_tree(3), path_tree(3)),
+        ProductComplex(regular_ball(3, 1), path_tree(3)),
+    ):
+        complexes.append([flatmate_tuples(p, size) for size in range(1, 5)])
+    complexes.append(filtered_levels(range(6), rp2_membership, 4))
+    complexes.append(clique_levels(16, 0.6, 1, 4))
+    for levels in complexes:
+        check_matching(*producer_matching(levels))
+
+
+@pytest.mark.parametrize(
+    "levels, n_max",
+    [
+        (filtered_levels(range(6), rp2_membership, 4), 2),
+        (clique_levels(16, 0.6, 1, 4), 2),
+    ],
+    ids=["rp2", "clique"],
+)
+def test_critical_cells_fall_back_to_elimination(monkeypatch, levels, n_max):
+    inserts = record_inserts(monkeypatch)
+    records = _records(verify_exactness(levels, n_max))
+    assert inserts
+    assert records == dense_records(levels, n_max)
+
+
+def test_small_trees_are_certified_without_elimination(monkeypatch):
+    inserts = record_inserts(monkeypatch)
+    for levels, _, ranks in small_tree_dense_ranks():
+        records = _records(verify_exactness(levels, 3))
+        assert records == dense_records(levels, 3, ranks), levels[0]
+    assert not inserts
+
+
+def test_edge_case_records():
+    # (degree, dim, image_rank, kernel_dim, exact)
+    def rows(records):
+        return [tuple(rec.to_record().values()) for rec in records]
+
+    assert rows(full_exactness(0, 2)) == [(n, 0, 0, 0, True) for n in range(3)]
+    assert rows(full_exactness(1, 2)) == [
+        (0, 1, 0, 0, True), (1, 0, 0, 0, True), (2, 0, 0, 0, True)
+    ]
+    assert rows(aligned_exactness(path_tree(1), 3)) == [
+        (0, 1, 0, 0, True), (1, 0, 0, 0, True), (2, 0, 0, 0, True), (3, 0, 0, 0, True)
+    ]
+    assert rows(full_exactness(0, 0)) == [(0, 0, 0, 0, True)]
+    assert rows(full_exactness(4, 0)) == [(0, 4, 3, 3, True)]
+    assert rows(aligned_exactness(TRIPOD, 0)) == [(0, 4, 3, 3, True)]
