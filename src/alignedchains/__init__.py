@@ -5,148 +5,91 @@ aligned subcomplexes of trees with a norm-bounded projection onto them,
 orbit signatures with constructive witnesses, exactness audits by sparse
 elimination, and l1-minimal filling norms by exact simplex.
 
-Exactness ranks are rational ranks, from one fraction-free integer
-elimination per degree; it stops once the rank reaches the kernel
-dimension one degree down, a proven upper bound.
+Exactness is first decided by an element matching: when it leaves no
+critical tuple below the top level, every degree is exact and each rank
+is a count of matched pairs.  Otherwise ranks are rational ranks, from
+one fraction-free integer elimination per degree.
+
+Each public name resolves on first use: `import alignedchains` loads no
+submodule, and reading a name imports the module that defines it, along
+with that module's own imports.
 """
 
-from .chains import AltChain, canonicalize_tuple
-from .exactness import (
-    ColumnEchelon,
-    DegreeExactness,
-    aligned_exactness,
-    full_exactness,
-    rank_of_columns,
-    verify_exactness,
-)
-from .flatmate import (
-    HomotopyNormReport,
-    ProductComplex,
-    aligned_boundary_problem,
-    flag_growth,
-    flatmate_boundary_problem,
-    flatmate_exactness,
-    flatmate_tuples,
-    homotopy_norm_probe,
-    hull_problem,
-    is_flatmate,
-    path_product_family,
-    sample_window_cycles,
-)
-from .limits import (
-    DEFAULT_DIM_CAP,
-    DEFAULT_LP_BASIS_CAP,
-    DEFAULT_VERTEX_CAP,
-    CapExceeded,
-)
-from .lp import BoundaryProblem, PreimageResult, min_l1_preimage
-from .orbits import (
-    AlignedSignature,
-    CensusReport,
-    OrbitClassRecord,
-    WitnessResult,
-    aligned_signature,
-    orbit_class_census,
-    orbit_witness,
-)
-from .projection import (
-    BracketReport,
-    CaterpillarForm,
-    ChainMapReport,
-    NormScanReport,
-    bracket_from_layout,
-    caterpillar_layout,
-    end_pair_bracket,
-    end_pair_bracket_terms,
-    project_to_aligned,
-    project_tuple,
-    projection_norm_scan,
-    verify_bracket_identities,
-    verify_chain_map,
-)
-from .trees import (
-    PartialIsometry,
-    Tree,
-    aligned_tuples,
-    build_tree,
-    convex_hull,
-    extend_partial_isometry,
-    geodesic,
-    is_aligned,
-    load_tree,
-    nonisomorphic_trees,
-    parse_edge_list,
-    path_tree,
-    project_to_segment,
-    random_tree,
-    regular_ball,
-    tree_from_pruefer,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AltChain",
-    "AlignedSignature",
-    "BoundaryProblem",
-    "BracketReport",
-    "CapExceeded",
-    "CaterpillarForm",
-    "CensusReport",
-    "ChainMapReport",
-    "ColumnEchelon",
-    "DEFAULT_DIM_CAP",
-    "DEFAULT_LP_BASIS_CAP",
-    "DEFAULT_VERTEX_CAP",
-    "DegreeExactness",
-    "HomotopyNormReport",
-    "NormScanReport",
-    "OrbitClassRecord",
-    "PartialIsometry",
-    "PreimageResult",
-    "ProductComplex",
-    "Tree",
-    "WitnessResult",
-    "aligned_boundary_problem",
-    "aligned_exactness",
-    "aligned_signature",
-    "aligned_tuples",
-    "bracket_from_layout",
-    "build_tree",
-    "canonicalize_tuple",
-    "caterpillar_layout",
-    "convex_hull",
-    "end_pair_bracket",
-    "end_pair_bracket_terms",
-    "extend_partial_isometry",
-    "flag_growth",
-    "flatmate_boundary_problem",
-    "flatmate_exactness",
-    "flatmate_tuples",
-    "full_exactness",
-    "geodesic",
-    "homotopy_norm_probe",
-    "hull_problem",
-    "is_aligned",
-    "is_flatmate",
-    "load_tree",
-    "min_l1_preimage",
-    "nonisomorphic_trees",
-    "orbit_class_census",
-    "orbit_witness",
-    "parse_edge_list",
-    "path_product_family",
-    "path_tree",
-    "project_to_aligned",
-    "project_to_segment",
-    "project_tuple",
-    "projection_norm_scan",
-    "random_tree",
-    "rank_of_columns",
-    "regular_ball",
-    "sample_window_cycles",
-    "tree_from_pruefer",
-    "verify_bracket_identities",
-    "verify_chain_map",
-    "verify_exactness",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AltChain": "chains",
+    "canonicalize_tuple": "chains",
+    "ColumnEchelon": "exactness",
+    "DegreeExactness": "exactness",
+    "aligned_exactness": "exactness",
+    "full_exactness": "exactness",
+    "rank_of_columns": "exactness",
+    "verify_exactness": "exactness",
+    "HomotopyNormReport": "flatmate",
+    "ProductComplex": "flatmate",
+    "aligned_boundary_problem": "flatmate",
+    "flag_growth": "flatmate",
+    "flatmate_boundary_problem": "flatmate",
+    "flatmate_exactness": "flatmate",
+    "flatmate_tuples": "flatmate",
+    "homotopy_norm_probe": "flatmate",
+    "hull_problem": "flatmate",
+    "is_flatmate": "flatmate",
+    "path_product_family": "flatmate",
+    "sample_window_cycles": "flatmate",
+    "DEFAULT_DIM_CAP": "limits",
+    "DEFAULT_LP_BASIS_CAP": "limits",
+    "DEFAULT_VERTEX_CAP": "limits",
+    "CapExceeded": "limits",
+    "BoundaryProblem": "lp",
+    "PreimageResult": "lp",
+    "min_l1_preimage": "lp",
+    "AlignedSignature": "orbits",
+    "CensusReport": "orbits",
+    "OrbitClassRecord": "orbits",
+    "WitnessResult": "orbits",
+    "aligned_signature": "orbits",
+    "orbit_class_census": "orbits",
+    "orbit_witness": "orbits",
+    "BracketReport": "projection",
+    "CaterpillarForm": "projection",
+    "ChainMapReport": "projection",
+    "NormScanReport": "projection",
+    "bracket_from_layout": "projection",
+    "caterpillar_layout": "projection",
+    "end_pair_bracket": "projection",
+    "end_pair_bracket_terms": "projection",
+    "project_to_aligned": "projection",
+    "project_tuple": "projection",
+    "projection_norm_scan": "projection",
+    "verify_bracket_identities": "projection",
+    "verify_chain_map": "projection",
+    "PartialIsometry": "trees",
+    "Tree": "trees",
+    "aligned_tuples": "trees",
+    "build_tree": "trees",
+    "convex_hull": "trees",
+    "extend_partial_isometry": "trees",
+    "geodesic": "trees",
+    "is_aligned": "trees",
+    "load_tree": "trees",
+    "parse_edge_list": "trees",
+    "path_tree": "trees",
+    "project_to_segment": "trees",
+    "random_tree": "trees",
+    "regular_ball": "trees",
+    "tree_from_pruefer": "trees",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

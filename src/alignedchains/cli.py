@@ -9,7 +9,9 @@ or a resource cap.  A broken internal invariant (a `RuntimeError`,
 that fails its own certificate) also exits 1, with a report whose summary
 has `passed: false` and an `internal_error` naming the breach.
 Randomized commands require --seed, and a repeated run with identical
-flags reproduces the report payload byte for byte.
+flags reproduces the report payload byte for byte.  Each runner imports
+its library module when it runs, so parsing and checking a config load
+only `limits`, `reporting` and `trees`.
 """
 
 from __future__ import annotations
@@ -19,23 +21,11 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactness import aligned_exactness, full_exactness
-from .flatmate import (
-    flag_growth,
-    homotopy_norm_probe,
-    path_product_family,
-)
 from .limits import (
     DEFAULT_DIM_CAP,
     DEFAULT_LP_BASIS_CAP,
     DEFAULT_VERTEX_CAP,
     CapExceeded,
-)
-from .orbits import orbit_class_census
-from .projection import (
-    projection_norm_scan,
-    verify_bracket_identities,
-    verify_chain_map,
 )
 from .reporting import Report, parse_rational, rational_str, render, write_atomic
 from .trees import Tree, load_tree, random_tree, regular_ball
@@ -121,6 +111,8 @@ def resolve_tree(cfg: ExperimentConfig) -> Tree:
 
 
 def _run_verify_exactness(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool]:
+    from .exactness import aligned_exactness, full_exactness
+
     tree = resolve_tree(cfg)
     if cfg.aligned:
         records = aligned_exactness(tree, cfg.nmax, dim_cap=cfg.dim_cap)
@@ -138,6 +130,8 @@ def _run_verify_exactness(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool
 
 
 def _run_verify_chainmap(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool]:
+    from .projection import verify_chain_map
+
     tree = resolve_tree(cfg)
     rows = []
     failures = 0
@@ -155,6 +149,8 @@ def _run_verify_chainmap(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool]
 
 
 def _run_verify_pate(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool]:
+    from .projection import verify_bracket_identities
+
     tree = resolve_tree(cfg)
     rep = verify_bracket_identities(
         tree, cfg.samples, f"{cfg.seed}:pate", max_degree=max(2, cfg.degree)
@@ -168,6 +164,8 @@ def _run_verify_pate(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool]:
 
 
 def _run_norm_phi(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool]:
+    from .projection import projection_norm_scan
+
     tree = resolve_tree(cfg)
     rows = []
     violations = 0
@@ -185,6 +183,8 @@ def _run_norm_phi(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool]:
 
 
 def _run_orbit_report(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool]:
+    from .orbits import orbit_class_census
+
     tree = resolve_tree(cfg)
     modes = {"tp": [True], "full": [False], "both": [True, False]}.get(cfg.mode)
     if modes is None:
@@ -211,6 +211,8 @@ def _run_orbit_report(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool]:
 
 
 def _run_flatmate_probe(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool]:
+    from .flatmate import flag_growth, homotopy_norm_probe, path_product_family
+
     if cfg.path_family is None:
         raise ValueError("flatmate-probe needs --path-family KMIN KMAX")
     kmin, kmax = cfg.path_family
@@ -286,59 +288,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, tree_source: bool = True) -> None:
-        if tree_source:
-            p.add_argument("--tree-file", help="edge-list file, one `u v` per line")
-            p.add_argument(
-                "--regular",
-                type=int,
-                metavar="BRANCHING",
-                help="regular ball; needs --radius",
-            )
-            p.add_argument("--radius", type=int, help="radius for --regular")
-            p.add_argument(
-                "--random",
-                dest="random_n",
-                type=int,
-                metavar="N",
-                help="random tree on N vertices (uses --seed)",
-            )
-        p.add_argument("--seed", help="seed for any randomized step")
-        p.add_argument("--out", help="report path (default <command>-report.<fmt>)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
-        p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
-        p.add_argument("--lp-basis-cap", type=int, default=DEFAULT_LP_BASIS_CAP)
+    tree_source = argparse.ArgumentParser(add_help=False)
+    tree_source.add_argument("--tree-file", help="edge-list file, one `u v` per line")
+    tree_source.add_argument(
+        "--regular",
+        type=int,
+        metavar="BRANCHING",
+        help="regular ball; needs --radius",
+    )
+    tree_source.add_argument("--radius", type=int, help="radius for --regular")
+    tree_source.add_argument(
+        "--random",
+        dest="random_n",
+        type=int,
+        metavar="N",
+        help="random tree on N vertices (uses --seed)",
+    )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--seed", help="seed for any randomized step")
+    shared.add_argument("--out", help="report path (default <command>-report.<fmt>)")
+    shared.add_argument("--format", choices=("json", "csv"), default="json")
+    shared.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
+    shared.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
+    shared.add_argument("--lp-basis-cap", type=int, default=DEFAULT_LP_BASIS_CAP)
+    on_tree = [tree_source, shared]
 
-    p = sub.add_parser("verify-exactness", help="rank/kernel audit per degree")
-    add_common(p)
+    p = sub.add_parser(
+        "verify-exactness", parents=on_tree, help="rank/kernel audit per degree"
+    )
     p.add_argument("--aligned", action="store_true", help="aligned subcomplex only")
     p.add_argument("--nmax", type=int, default=3)
 
-    p = sub.add_parser("verify-chainmap", help="boundary compatibility of the projection")
-    add_common(p)
+    p = sub.add_parser(
+        "verify-chainmap",
+        parents=on_tree,
+        help="boundary compatibility of the projection",
+    )
     p.add_argument("--degree", type=int, default=4, help="check degrees 1..DEGREE")
     p.add_argument("--samples", type=int, default=500)
 
-    p = sub.add_parser("verify-pate", help="end-pair bracket identities")
-    add_common(p)
+    p = sub.add_parser("verify-pate", parents=on_tree, help="end-pair bracket identities")
     p.add_argument("--degree", type=int, default=5, help="largest middle degree")
     p.add_argument("--samples", type=int, default=200)
 
-    p = sub.add_parser("norm-phi", help="projection norm scan")
-    add_common(p)
+    p = sub.add_parser("norm-phi", parents=on_tree, help="projection norm scan")
     p.add_argument("--degree", type=int, default=4, help="scan degrees 1..DEGREE")
     p.add_argument("--samples", type=int, default=200)
 
-    p = sub.add_parser("orbit-report", help="signature census with orbit witnesses")
-    add_common(p)
+    p = sub.add_parser(
+        "orbit-report", parents=on_tree, help="signature census with orbit witnesses"
+    )
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--diameter-cap", type=int, default=4)
     p.add_argument("--mode", choices=("tp", "full", "both"), default="both")
     p.add_argument("--root", type=int, default=0)
 
-    p = sub.add_parser("flatmate-probe", help="filling-norm probe on path products")
-    add_common(p, tree_source=False)
+    p = sub.add_parser(
+        "flatmate-probe", parents=[shared], help="filling-norm probe on path products"
+    )
     p.add_argument(
         "--path-family",
         nargs=2,

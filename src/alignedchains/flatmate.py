@@ -229,14 +229,14 @@ def _random_segment(t: Tree, size: int, rng: random.Random) -> list[int]:
     raise RuntimeError(f"no geodesic with {size} vertices found")
 
 
+# Sampled windows are kept to about this many product vertices, and a
+# sampled cycle is the boundary of at most this many window tuples.
+_WINDOW_CAP = 12
+_WINDOW_TERMS = 3
+
+
 def sample_window_cycles(
-    p: ProductComplex,
-    degree: int,
-    count: int,
-    rng: random.Random,
-    *,
-    window_cap: int = 12,
-    terms: int = 3,
+    p: ProductComplex, degree: int, count: int, rng: random.Random
 ) -> list[tuple[AltChain, tuple[tuple[int, ...], ...]]]:
     """Random unit cycles supported in small apartment windows.
 
@@ -255,16 +255,16 @@ def sample_window_cycles(
         attempts += 1
         if attempts > 50 * count + 50:
             raise RuntimeError("cycle sampling kept producing zero boundaries")
-        s1 = rng.randint(2, max(2, min(6, diam1 + 1, window_cap // 2)))
+        s1 = rng.randint(2, max(2, min(6, diam1 + 1, _WINDOW_CAP // 2)))
         s2_low = max(2, -(-(degree + 2) // s1))
-        s2_high = max(s2_low, min(6, diam2 + 1, window_cap // s1))
+        s2_high = max(s2_low, min(6, diam2 + 1, _WINDOW_CAP // s1))
         s2 = rng.randint(s2_low, s2_high)
         seg1 = _random_segment(p.factor1, s1, rng)
         seg2 = _random_segment(p.factor2, min(s2, diam2 + 1), rng)
         window = sorted(p.encode(a, b) for a in seg1 for b in seg2)
         if len(window) < degree + 2:
             continue
-        width = min(terms, math.comb(len(window), degree + 2))
+        width = min(_WINDOW_TERMS, math.comb(len(window), degree + 2))
         picked: set[tuple[int, ...]] = set()
         while len(picked) < width:
             picked.add(tuple(sorted(rng.sample(window, degree + 2))))

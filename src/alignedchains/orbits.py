@@ -278,22 +278,6 @@ def _certify_images(t: Tree, frame: _SpineFrame, images: Sequence[int]) -> None:
             )
 
 
-def _certify_spine_map(t: Tree, spine: Sequence[int], mapping: dict[int, int]) -> None:
-    """Raise CertificateError unless `mapping` is an isometry of its domain,
-    checked edge by edge in O(k * degree) without a distance row.
-
-    The domain must hold the path `spine` and otherwise only neighbors of
-    spine vertices, which makes it connected; then injectivity plus every
-    domain edge going to an edge proves the map distance-preserving.  This
-    is the frame's domain half followed by the image half.
-    """
-    if any(v not in mapping for v in spine):
-        raise CertificateError("witness certificate: the spine is not in the domain")
-    on_spine = set(spine)
-    frame = _certified_frame(t, spine, [w for w in mapping if w not in on_spine])
-    _certify_images(t, frame, [mapping[v] for v in frame.domain])
-
-
 @dataclass(frozen=True)
 class OrbitClassRecord:
     type_bit: int | None

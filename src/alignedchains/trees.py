@@ -5,8 +5,8 @@ projections and convex hulls are computed combinatorially, so every result
 is exact.  Trees are immutable once built and safe to share between tasks.
 The per-source BFS distance cache only grows, one full row for each source
 that `distances_from` is asked about: `geodesic`, `diametral_pair`,
-`segment_offsets`, the isometry checks and the flatmate enumerator fill
-it, and a freshly built tree holds no row.  `aligned_tuples` and
+`project_to_segment`, the isometry checks and the flatmate enumerator
+fill it, and a freshly built tree holds no row.  `aligned_tuples` and
 `aligned_spines` read no rows; they walk a breadth-first search cut at the
 spine length instead.
 """
@@ -214,22 +214,6 @@ def tree_from_pruefer(seq: Sequence[int]) -> Tree:
     return build_tree(edges, vertex_count=n)
 
 
-def nonisomorphic_trees(n: int) -> Iterator[Tree]:
-    """All unlabeled trees on n vertices, one representative each."""
-    import networkx as nx
-
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if n == 1:
-        yield Tree(((),))
-        return
-    if n == 2:
-        yield build_tree([(0, 1)])
-        return
-    for g in nx.nonisomorphic_trees(n):
-        yield build_tree(list(g.edges()), vertex_count=n)
-
-
 def geodesic(t: Tree, u: int, v: int) -> list[int]:
     """Vertices of the unique path from u to v, inclusive."""
     dist_v = t.distances_from(v)
@@ -245,26 +229,15 @@ def geodesic(t: Tree, u: int, v: int) -> list[int]:
     return path
 
 
-def segment_offsets(
-    t: Tree, u: int, v: int, length: int, points: Iterable[int]
-) -> list[int]:
-    """Offset from u of the nearest point on [u, v] to each of `points`.
-
-    `length` is d(u, v).  The nearest point to w sits where the geodesics
-    from w to u and to v part, at (d(w, u) + d(u, v) - d(w, v)) / 2 from u.
-    """
-    out = []
-    for w in points:
-        dw = t.distances_from(w)
-        out.append((dw[u] + length - dw[v]) // 2)
-    return out
-
-
 def project_to_segment(t: Tree, w: int, u: int, v: int) -> int:
-    """Nearest point to w on the segment [u, v]."""
+    """Nearest point to w on the segment [u, v].
+
+    It sits where the geodesics from w to u and to v part, at
+    (d(w, u) + d(u, v) - d(w, v)) / 2 from u.
+    """
     duv = t.distance(u, v)
-    (offset,) = segment_offsets(t, u, v, duv, (w,))
-    return geodesic(t, u, v)[offset]
+    dw = t.distances_from(w)
+    return geodesic(t, u, v)[(dw[u] + duv - dw[v]) // 2]
 
 
 def convex_hull(t: Tree, tup: Sequence[int]) -> frozenset[int]:

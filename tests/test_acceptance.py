@@ -35,11 +35,11 @@ from alignedchains.trees import (
     geodesic,
     extend_partial_isometry,
     is_aligned,
-    nonisomorphic_trees,
     path_tree,
     random_tree,
     regular_ball,
 )
+from small_trees import nonisomorphic_trees
 
 TRIPOD = build_tree([(0, 1), (0, 2), (0, 3)])
 

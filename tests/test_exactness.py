@@ -27,11 +27,11 @@ from alignedchains.trees import (
     aligned_tuples,
     build_tree,
     is_aligned,
-    nonisomorphic_trees,
     path_tree,
     random_tree,
     regular_ball,
 )
+from small_trees import nonisomorphic_trees
 
 
 def test_column_echelon_rank():

@@ -6,8 +6,8 @@ import pytest
 
 from alignedchains.orbits import (
     CertificateError,
+    _certified_frame,
     _certify_images,
-    _certify_spine_map,
     _frame_images,
     _signature_data,
     _spine_frame,
@@ -26,6 +26,17 @@ from alignedchains.trees import (
     random_tree,
     regular_ball,
 )
+
+
+def certify_spine_map(t, spine, mapping):
+    """Raise CertificateError unless `mapping`, whose domain is the path
+    `spine` plus spine neighbors, is an isometry of its domain: the frame's
+    domain half, then the image half."""
+    if any(v not in mapping for v in spine):
+        raise CertificateError("witness certificate: the spine is not in the domain")
+    on_spine = set(spine)
+    frame = _certified_frame(t, spine, [w for w in mapping if w not in on_spine])
+    _certify_images(t, frame, [mapping[v] for v in frame.domain])
 
 
 def test_signature_requires_aligned_distinct():
@@ -210,7 +221,7 @@ def test_edge_local_certificate_agrees_with_validate(tree):
             except ValueError:
                 by_pairs = False
             try:
-                _certify_spine_map(tree, spine, dict(mapping))
+                certify_spine_map(tree, spine, dict(mapping))
                 by_edges = True
             except CertificateError:
                 by_edges = False
@@ -225,9 +236,9 @@ def test_certificate_rejects_a_domain_off_the_spine():
     # a vertex two steps from the spine makes the domain disconnected
     t = path_tree(6)
     with pytest.raises(CertificateError, match="no spine neighbor"):
-        _certify_spine_map(t, [0, 1], {0: 0, 1: 1, 3: 3})
+        certify_spine_map(t, [0, 1], {0: 0, 1: 1, 3: 3})
     with pytest.raises(CertificateError, match="not adjacent"):
-        _certify_spine_map(t, [0, 2], {0: 0, 2: 2, 1: 1})
+        certify_spine_map(t, [0, 2], {0: 0, 2: 2, 1: 1})
 
 
 @pytest.mark.parametrize("tree", [regular_ball(3, 4), random_tree(40, "frame-reuse")])

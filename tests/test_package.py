@@ -1,9 +1,38 @@
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+from textwrap import dedent
 
 import alignedchains
+from alignedchains.limits import DEFAULT_DIM_CAP, DEFAULT_LP_BASIS_CAP, DEFAULT_VERTEX_CAP
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+COMMANDS = [
+    "verify-exactness",
+    "verify-chainmap",
+    "verify-pate",
+    "norm-phi",
+    "orbit-report",
+    "flatmate-probe",
+]
+
+
+def run_child(code, *args, cwd=None):
+    """stdout's last line, as JSON, of `code` run in a fresh interpreter that
+    imports the package from this checkout."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_exports_resolve_once():
@@ -18,3 +47,127 @@ def test_readme_library_example_runs():
     match = re.search(r"^## Library example\n\n```python\n(.*?)^```", text, re.S | re.M)
     assert match, "README has no python block under '## Library example'"
     exec(compile(match.group(1), str(README), "exec"), {})
+
+
+def test_package_import_loads_no_submodule():
+    loaded, home = run_child(
+        dedent(
+            """
+            import json, sys
+            import alignedchains
+            loaded = sorted(m for m in sys.modules if m.startswith("alignedchains."))
+            print(json.dumps([loaded, alignedchains.AltChain.__module__]))
+            """
+        )
+    )
+    assert loaded == []
+    assert home == "alignedchains.chains"
+
+
+def test_parsing_a_workload_config_loads_no_runner_module(tmp_path):
+    # the config of each benchmark workload's first command is parsed and
+    # checked as a setup spawn does; no library routine is imported for it
+    loaded = run_child(
+        dedent(
+            """
+            import json, sys
+            sys.path.insert(0, sys.argv[1])
+            from workloads import WORKLOADS
+            import alignedchains.cli as cli
+            for workload in WORKLOADS.values():
+                argv = workload.commands(0, 0, sys.argv[2])[0]
+                cli.config_from_args(cli.build_parser().parse_args(argv)).validate()
+            print(json.dumps(sorted(m for m in sys.modules if m.startswith("alignedchains"))))
+            """
+        ),
+        str(ROOT / "bench"),
+        str(tmp_path),
+    )
+    # no exactness, flatmate, lp, orbits or projection
+    assert loaded == [
+        "alignedchains",
+        "alignedchains.cli",
+        "alignedchains.limits",
+        "alignedchains.reporting",
+        "alignedchains.trees",
+    ]
+
+
+def test_every_subcommand_runs_without_networkx(tmp_path):
+    argvs = [
+        ["verify-exactness", "--regular", "3", "--radius", "2", "--aligned", "--nmax", "2"],
+        ["verify-chainmap", "--regular", "3", "--radius", "2", "--degree", "2",
+         "--samples", "5", "--seed", "s"],
+        ["verify-pate", "--random", "8", "--samples", "5", "--seed", "s"],
+        ["norm-phi", "--random", "8", "--degree", "2", "--samples", "5", "--seed", "s"],
+        ["orbit-report", "--regular", "3", "--radius", "4", "--diameter-cap", "2"],
+        ["flatmate-probe", "--path-family", "2", "3", "--samples", "2", "--seed", "s"],
+    ]
+    codes = run_child(
+        dedent(
+            """
+            import json, sys
+            sys.modules["networkx"] = None
+            from alignedchains.cli import main
+            print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+            """
+        ),
+        json.dumps(argvs),
+        cwd=tmp_path,
+    )
+    assert codes == [0] * len(argvs)
+    assert [argv[0] for argv in argvs] == COMMANDS
+
+
+def test_subcommands_share_their_common_flags():
+    shared = [
+        "--seed", "s", "--out", "r.csv", "--format", "csv",
+        "--vertex-cap", "7", "--dim-cap", "8", "--lp-basis-cap", "9",
+    ]
+    tree = ["--tree-file", "t.txt", "--regular", "3", "--radius", "2", "--random", "5"]
+    parsed, status = run_child(
+        dedent(
+            """
+            import json, sys
+            from alignedchains.cli import build_parser
+            shared, tree, commands = map(json.loads, sys.argv[1:])
+            parser = build_parser()
+            parsed = {}
+            for command in commands:
+                if command == "flatmate-probe":
+                    base = [command, "--path-family", "2", "3"]
+                    argvs = [base, base + shared]
+                else:
+                    argvs = [[command], [command, *shared], [command, *tree]]
+                parsed[command] = [vars(parser.parse_args(argv)) for argv in argvs]
+            try:
+                parser.parse_args(["flatmate-probe", "--path-family", "2", "3", "--regular", "3"])
+                status = 0
+            except SystemExit as exc:
+                status = exc.code
+            print(json.dumps([parsed, status]))
+            """
+        ),
+        json.dumps(shared),
+        json.dumps(tree),
+        json.dumps(COMMANDS),
+    )
+    defaults = {
+        "seed": None, "out": None, "format": "json", "vertex_cap": DEFAULT_VERTEX_CAP,
+        "dim_cap": DEFAULT_DIM_CAP, "lp_basis_cap": DEFAULT_LP_BASIS_CAP,
+    }
+    given = {
+        "seed": "s", "out": "r.csv", "format": "csv",
+        "vertex_cap": 7, "dim_cap": 8, "lp_basis_cap": 9,
+    }
+    tree_values = {"tree_file": "t.txt", "regular": 3, "radius": 2, "random_n": 5}
+    assert list(parsed) == COMMANDS
+    for command, (plain, with_shared, *with_tree) in parsed.items():
+        assert {k: plain[k] for k in defaults} == defaults, command
+        assert {k: with_shared[k] for k in given} == given, command
+        if command == "flatmate-probe":
+            assert not with_tree and not tree_values.keys() & plain.keys()
+        else:
+            assert {k: plain[k] for k in tree_values} == dict.fromkeys(tree_values)
+            assert {k: with_tree[0][k] for k in tree_values} == tree_values, command
+    assert status == 2
