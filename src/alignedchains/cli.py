@@ -17,6 +17,7 @@ only `limits`, `reporting` and `trees`.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -375,9 +376,15 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every main() call of a process; build_parser stays a pure builder.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse `argv` (default sys.argv[1:]), run the command and return its
+    exit status.  The parser is built once per process, on the first call."""
+    args = _parser().parse_args(argv)
     return run(config_from_args(args))
 
 

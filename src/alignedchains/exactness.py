@@ -28,6 +28,7 @@ the rank it counts is the rational rank, in one pass per degree.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain, combinations, islice, repeat
 from typing import Iterable, Iterator
@@ -125,25 +126,34 @@ def verify_exactness(
     level from the one before.  Only the first n_max + 2 levels are read,
     each up to dim_cap + 1 tuples in any order, all before any elimination,
     so a cap stops the check before a lazy level is drawn in full.  The
-    levels must hold canonical tuples of a face-closed family, which is
-    validated on every tuple of every level before the check starts.
+    levels must hold canonical tuples of a face-closed family, each tuple
+    once, which is validated on every tuple of every level before the
+    check starts.
 
     The element matching decides first; elimination runs only when it
     leaves a critical cell of at most n_max + 1 entries, the empty one too.
+    Only the vertex level is sorted, since it alone fixes the matching's
+    vertex order; every other level keeps the order `bases` gave it, which
+    moves neither the pair counts nor a rank.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
 
     levels: list[list[tuple[int, ...]]] = []
     for size, level in zip(range(1, n_max + 3), bases):
-        b = sorted(islice(level, dim_cap + 1))
+        b = list(islice(level, dim_cap + 1))
         if len(b) > dim_cap:
             raise CapExceeded(f"basis tuples of size {size} passed the cap {dim_cap}")
         levels.append(b)
     if len(levels) < n_max + 2:
         raise ValueError(f"bases gave {len(levels)} levels, {n_max + 2} needed")
+    levels[0].sort()
 
     free = [set(b) for b in levels]
+    for size, (rows, b) in enumerate(zip(free, levels), 1):
+        if len(rows) < len(b):
+            tup = next(tup for tup, seen in Counter(b).items() if seen > 1)
+            raise ValueError(f"bases list {tup} twice in the level of size {size}")
     for k in range(1, n_max + 2):
         _check_faces(free[k - 1], levels[k], k)
     # matched[s] counts the pairs whose larger cell has s entries
@@ -204,8 +214,10 @@ def _element_matching(
 
     The lowest vertex takes the empty (augmentation) cell; then each vertex
     v in ascending order pairs every free tuple t holding v with t - v when
-    that is free too.  `free[k]` starts as the set of `levels[k]` and is
-    consumed: what it holds at the end is critical.
+    that is free too.  Only `levels[0]` is read, and it must be sorted.
+    `free[k]` starts as the set of `levels[k]` and is consumed: what it
+    holds at the end is critical.  A level pair whose lower level has no
+    free tuple left can form no pair, so it is skipped without a scan.
     """
     if not levels[0]:
         return
@@ -215,6 +227,8 @@ def _element_matching(
         if not any(free[:-1]):
             return
         for low, high in zip(free, free[1:]):
+            if not low:
+                continue
             for tup in [t for t in high if v in t]:
                 i = tup.index(v)
                 face = tup[:i] + tup[i + 1 :]

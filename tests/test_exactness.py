@@ -473,3 +473,43 @@ def test_edge_case_records():
     assert rows(full_exactness(0, 0)) == [(0, 0, 0, 0, True)]
     assert rows(full_exactness(4, 0)) == [(0, 4, 3, 3, True)]
     assert rows(aligned_exactness(TRIPOD, 0)) == [(0, 4, 3, 3, True)]
+
+
+def test_a_repeated_tuple_is_rejected():
+    levels = [list(combinations(range(4), size)) for size in (1, 2, 3)]
+    levels[1].append((0, 1))
+    with pytest.raises(ValueError, match=r"\(0, 1\) twice in the level of size 2"):
+        verify_exactness(levels, 1)
+    # the top level is read for its faces only, yet a repeat there is caught
+    levels = [list(combinations(range(4), size)) for size in (1, 2, 3)]
+    levels[2].insert(1, (0, 1, 2))
+    with pytest.raises(ValueError, match=r"\(0, 1, 2\) twice in the level of size 3"):
+        verify_exactness(levels, 1)
+
+
+ORDER_FAMILIES = {
+    "random-tree": ([aligned_tuples(random_tree(16, "order"), s) for s in range(1, 6)], 3),
+    "regular-ball": ([aligned_tuples(regular_ball(3, 2), s) for s in range(1, 6)], 3),
+    "path-product": (
+        [flatmate_tuples(ProductComplex(path_tree(3), path_tree(3)), s) for s in range(1, 5)],
+        2,
+    ),
+    "rp2": (filtered_levels(range(6), rp2_membership, 4), 2),
+    "clique": (clique_levels(16, 0.6, 1, 4), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(ORDER_FAMILIES))
+def test_level_order_changes_no_verdict(name):
+    levels, n_max = ORDER_FAMILIES[name]
+    levels = [sorted(level) for level in levels]
+    rng = random.Random(f"order:{name}")
+    reorders = [[level[::-1] for level in levels], [rng.sample(b, len(b)) for b in levels]]
+    records = _records(verify_exactness(levels, n_max))
+    pairs = set(_element_matching(levels, [set(b) for b in levels]))
+    for reordered in reorders:
+        assert _records(verify_exactness(reordered, n_max)) == records
+        # the vertex level is sorted, as verify_exactness sorts it
+        reordered[0].sort()
+        free = [set(b) for b in reordered]
+        assert set(_element_matching(reordered, free)) == pairs

@@ -171,3 +171,63 @@ def test_subcommands_share_their_common_flags():
             assert {k: plain[k] for k in tree_values} == dict.fromkeys(tree_values)
             assert {k: with_tree[0][k] for k in tree_values} == tree_values, command
     assert status == 2
+
+
+CLI_SEQUENCE = dedent(
+    """
+    import argparse, hashlib, json, os, sys
+    from alignedchains.reporting import strip_volatile
+
+    builds = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        global builds
+        init(self, *args, **kwargs)
+        builds += self.prog == "alignedchains"
+
+    argparse.ArgumentParser.__init__ = counting_init
+    from alignedchains.cli import main
+
+    codes, reports = [], []
+    for argv in json.loads(sys.argv[1]):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        out = argv[argv.index("--out") + 1] if "--out" in argv else None
+        if out is None or not os.path.exists(out):
+            reports.append(None)
+            continue
+        with open(out, encoding="utf-8") as handle:
+            text = strip_volatile(handle.read())
+        os.remove(out)
+        config = json.loads(text)["config"]
+        reports.append([hashlib.sha256(text.encode()).hexdigest(), config.get("degree")])
+    print(json.dumps([builds, codes, reports]))
+    """
+)
+
+
+def test_one_parser_serves_every_main_call(tmp_path):
+    argvs = [
+        ["verify-exactness", "--regular", "3", "--radius", "2", "--aligned",
+         "--nmax", "2", "--out", "exact.json"],
+        ["verify-chainmap", "--regular", "3", "--radius", "2", "--degree", "2",
+         "--samples", "5", "--seed", "s", "--out", "chainmap.json"],
+        # no --degree: the subcommand's own default, not the call before's
+        ["norm-phi", "--random", "8", "--samples", "5", "--seed", "s",
+         "--out", "norm.json"],
+        ["verify-exactness", "--nmax", "x", "--out", "broken.json"],
+        ["verify-pate", "--random", "8", "--samples", "5", "--seed", "s",
+         "--out", "pate.json"],
+    ]
+    builds, codes, reports = run_child(CLI_SEQUENCE, json.dumps(argvs), cwd=tmp_path)
+    assert builds == 1
+    assert codes == [0, 0, 0, 2, 0]
+    assert reports[3] is None
+    assert [report[1] for report in reports[:3]] == [1, 2, 4]
+    for argv, report in zip(argvs, reports):
+        if report is not None:
+            fresh = run_child(CLI_SEQUENCE, json.dumps([argv]), cwd=tmp_path)
+            assert fresh == [1, [0], [report]], argv[0]
