@@ -200,6 +200,7 @@ def _run_orbit_report(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool]:
             cfg.diameter_cap,
             type_preserving=type_preserving,
             root=cfg.root,
+            dim_cap=cfg.dim_cap,
         )
         label = "tp" if type_preserving else "full"
         for rec in census.to_records():

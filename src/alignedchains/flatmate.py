@@ -246,16 +246,25 @@ def sample_window_cycles(
     LP warm start.  Window locality keeps the filling problems small while
     still sampling cycles at every position of the instance; it is a
     sampling choice, not a restriction of the complex being probed.
+    Factors whose largest window holds fewer than degree + 2 vertices
+    raise `ValueError` before any draw.
     """
     diam1 = _tree_diameter(p.factor1)
     diam2 = _tree_diameter(p.factor2)
+    s1_high = max(2, min(6, diam1 + 1, _WINDOW_CAP // 2))
+    if s1_high * (diam2 + 1) < degree + 2:
+        sizes = (p.factor1.vertex_count, p.factor2.vertex_count)
+        raise ValueError(
+            f"factors of sizes {sizes} have no window of {degree + 2} vertices, "
+            f"so no degree-{degree} cycle can be sampled"
+        )
     out: list[tuple[AltChain, tuple[tuple[int, ...], ...]]] = []
     attempts = 0
     while len(out) < count:
         attempts += 1
         if attempts > 50 * count + 50:
             raise RuntimeError("cycle sampling kept producing zero boundaries")
-        s1 = rng.randint(2, max(2, min(6, diam1 + 1, _WINDOW_CAP // 2)))
+        s1 = rng.randint(2, s1_high)
         s2_low = max(2, -(-(degree + 2) // s1))
         s2_high = max(s2_low, min(6, diam2 + 1, _WINDOW_CAP // s1))
         s2 = rng.randint(s2_low, s2_high)

@@ -11,21 +11,23 @@ from the last optimum.  A solve only finishes when a full pricing sweep
 over every admissible column certifies dual feasibility, so the reported
 optimum carries an exact strong-duality certificate, and an infeasible
 result a Farkas vector.
+
+Each solve indexes the columns by their faces once, checking there that
+every face is a row.  Pricing reads the cofaces of the dual's support from
+that index, in integers: the duals stay scaled by the tableau's common
+scale, and `Fraction`s are built once, for the result's chain and dual.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .chains import AltChain, signed_faces
 from .limits import DEFAULT_LP_BASIS_CAP, CapExceeded
-
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class BoundaryProblem:
@@ -209,27 +211,27 @@ class _Simplex:
                 degenerate_streak = 0
             self._pivot(leave_row, enter)
 
-    def _duals(self) -> list[Fraction]:
-        """Dual of each original row, read off the artificial cells."""
+    def _duals(self) -> list[int]:
+        """|D| times the dual of each original row, read off the artificial cells."""
         c_art = 1 if self.phase == 1 else 0
         n, d = self.n, self.scale
+        sgn = 1 if d > 0 else -1
         return [
-            (c_art - Fraction(self.cost[n + k], d)) * sign
+            sign * sgn * (c_art * d - self.cost[n + k])
             for k, sign in enumerate(self.row_sign)
         ]
 
-    def solve(self) -> tuple[Fraction, dict[int, Fraction], list[Fraction]]:
-        """Resume from the kept basis.
+    def solve(self) -> bool:
+        """Resume from the kept basis; return whether the rows are feasible.
 
-        Returns (phase-1 residual, primal solution by split id, dual of the
-        rows).  A positive residual means the equalities are unsatisfiable
-        with the current columns; the dual is then the phase-1 (Farkas)
-        vector certifying that fact instead of optimality.
+        False means the phase-1 residual is positive: the equalities are
+        unsatisfiable with the current columns, and `_duals` is then the
+        phase-1 (Farkas) vector certifying that fact instead of optimality.
         """
         if self.phase == 1:
             self._iterate()
             if self.cost[-1]:
-                return Fraction(-self.cost[-1], self.scale), {}, self._duals()
+                return False
             self.phase = 2
             d = self.scale
             cost = [d] * self.n + [0] * (len(self.rows) + 1)
@@ -245,46 +247,39 @@ class _Simplex:
                 if j >= 0:
                     self._pivot(i, 2 * j)
         self._iterate()
-        solution = {
+        return True
+
+    def solution(self) -> dict[int, Fraction]:
+        """Value of each basic split variable, by split id."""
+        return {
             var: Fraction(row[-1], self.scale)
             for var, row in zip(self.basis, self.rows)
             if var < _ART
         }
-        return _ZERO, solution, self._duals()
 
 
 def _price_support(
-    dual: dict[tuple[int, ...], Fraction],
-    universe: Sequence[int],
-    column_set: frozenset[tuple[int, ...]],
+    dual: dict[tuple[int, ...], int],
+    cofaces: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]],
     active_set: set[tuple[int, ...]],
-) -> list[tuple[Fraction, tuple[int, ...]]]:
+) -> list[tuple[int, tuple[int, ...]]]:
     """|dual . boundary(col)| over every inactive column that can be nonzero.
 
     A column prices to zero unless one of its faces carries dual weight, so
-    it is enough to grow each dual-support row by one vertex; every other
-    column satisfies the dual constraints (and the Farkas annihilation)
-    trivially.
+    only the cofaces of the dual's support are summed; every other column
+    satisfies the dual constraints (and the Farkas annihilation) trivially.
+    The duals are the scaled integers of `_Simplex._duals`, and so are the
+    prices.
     """
-    candidates: set[tuple[int, ...]] = set()
-    for row in dual:
-        for w in universe:
-            if w in row:
-                continue
-            i = bisect_left(row, w)
-            col = row[:i] + (w,) + row[i:]
-            if col in column_set and col not in active_set:
-                candidates.add(col)
-    out = []
-    for col in sorted(candidates):
-        value = _ZERO
-        for face, sign in signed_faces(col):
-            y = dual.get(face)
-            if y is not None:
-                value += y if sign > 0 else -y
-        if value:
-            out.append((abs(value), col))
-    return out
+    prices: dict[tuple[int, ...], int] = defaultdict(int)
+    for face, y in dual.items():
+        for col, sign in cofaces.get(face, ()):
+            if col not in active_set:
+                prices[col] += sign * y
+    return [(abs(value), col) for col, value in prices.items() if value]
+
+
+_MAX_ROUNDS = 400
 
 
 def min_l1_preimage(
@@ -294,13 +289,14 @@ def min_l1_preimage(
     warm_columns: Iterable[tuple[int, ...]] | None = None,
     lp_basis_cap: int = DEFAULT_LP_BASIS_CAP,
     batch: int = 50,
-    max_rounds: int = 400,
 ) -> PreimageResult:
     """Exact minimal-l1 filling of the cycle z by one-degree-up chains.
 
     z must be a cycle supported on the problem rows.  The result is either
     an optimal filling with a globally certified dual, or the distinct
     infeasible outcome when z is not a boundary of the column family.
+    Every face of every column must be a row; a column that breaks this
+    raises `ValueError` before any pivot, whether or not it is ever priced.
 
     `warm_columns` seeds the restricted problem (columns outside the
     family are ignored); pricing still certifies against every column, so
@@ -318,15 +314,22 @@ def min_l1_preimage(
     elif z.augmentation() != 0:
         raise ValueError("z has nonzero augmentation")
     if z.is_zero():
-        return PreimageResult("optimal", AltChain.zero(z.degree + 1), _ZERO, {}, 0)
+        zero = AltChain.zero(z.degree + 1)
+        return PreimageResult("optimal", zero, Fraction(0), {}, 0)
 
     scale = math.lcm(*(coeff.denominator for coeff in z.terms.values()))
     z_int = {key: int(coeff * scale) for key, coeff in z.terms.items()}
 
-    column_set = frozenset(problem.columns)
-    universe = sorted({v for row in problem.rows for v in row})
+    cofaces: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for col in problem.columns:
+        for face, sign in signed_faces(col):
+            if face not in row_set:
+                raise ValueError(
+                    f"column {col} has face {face} outside the row family"
+                )
+            cofaces.setdefault(face, []).append((col, sign))
     if warm_columns is not None:
-        active_set = set(warm_columns) & column_set
+        active_set = set(warm_columns).intersection(problem.columns)
     else:
         support_vertices = set()
         for key in z_int:
@@ -343,15 +346,10 @@ def min_l1_preimage(
     rounds = 0
     while True:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > _MAX_ROUNDS:
             raise ArithmeticError("column generation failed to converge")
         for col in new_columns:
-            for face, _ in signed_faces(col):
-                if face not in row_set:
-                    raise ValueError(
-                        f"column {col} has face {face} outside the row family"
-                    )
-                touched.add(face)
+            touched.update(face for face, _ in signed_faces(col))
         if len(touched) > lp_basis_cap:
             raise CapExceeded(
                 f"restricted LP needs {len(touched)} rows (cap {lp_basis_cap})"
@@ -367,35 +365,33 @@ def min_l1_preimage(
             ]
         )
         active.extend(new_columns)
-        residual, solution, dual_list = simplex.solve()
-        dual = {face: y for face, y in zip(rows, dual_list) if y}
+        feasible = simplex.solve()
+        dual = {face: y for face, y in zip(rows, simplex._duals()) if y}
+        d = abs(simplex.scale)
 
-        priced_all = _price_support(dual, universe, column_set, active_set)
-        if residual > 0:
-            # Farkas pricing: any column the certificate does not
-            # annihilate can still reduce the infeasibility.
-            priced = [(val, col) for val, col in priced_all if val > 0]
-            if not priced:
-                return PreimageResult("infeasible", None, None, dual, rounds)
-        else:
-            priced = [(val, col) for val, col in priced_all if val > 1]
-            if not priced:
-                coeffs = {
-                    active[var >> 1]: (-value if var & 1 else value) / scale
-                    for var, value in solution.items()
-                    if value
-                }
-                chain = AltChain(problem.degree + 1, coeffs)
-                if chain.boundary() != z:
-                    raise AssertionError("simplex returned a non-filling")
-                norm = chain.l1_norm()
-                dual_obj = sum(
-                    (dual.get(k, _ZERO) * v for k, v in z_int.items()), _ZERO
-                )
-                if dual_obj != norm * scale:
-                    raise AssertionError("strong duality failed on exact data")
-                return PreimageResult("optimal", chain, norm, dual, rounds)
-
+        # prices carry the scale d: a column improves phase 2 past d, and any
+        # column the Farkas vector does not annihilate can reduce the residual
+        floor = d if feasible else 0
+        priced = _price_support(dual, cofaces, active_set)
+        priced = [pair for pair in priced if pair[0] > floor]
+        if not priced:
+            break
         priced.sort(key=lambda pair: (-pair[0], pair[1]))
         new_columns = sorted(col for _, col in priced[:batch])
         active_set.update(new_columns)
+
+    dual_q = {face: Fraction(y, d) for face, y in dual.items()}
+    if not feasible:
+        return PreimageResult("infeasible", None, None, dual_q, rounds)
+    coeffs = {
+        active[var >> 1]: (-value if var & 1 else value) / scale
+        for var, value in simplex.solution().items()
+        if value
+    }
+    chain = AltChain(problem.degree + 1, coeffs)
+    if chain.boundary() != z:
+        raise AssertionError("simplex returned a non-filling")
+    norm = chain.l1_norm()
+    if sum(dual.get(k, 0) * v for k, v in z_int.items()) != norm * scale * d:
+        raise AssertionError("strong duality failed on exact data")
+    return PreimageResult("optimal", chain, norm, dual_q, rounds)

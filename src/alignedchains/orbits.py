@@ -40,9 +40,11 @@ pairwise distances and stays the general test.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import Sequence
 
 from .chains import canonicalize_tuple
+from .limits import DEFAULT_DIM_CAP, CapExceeded
 from .trees import PartialIsometry, Tree, aligned_spines, diametral_pair, geodesic
 
 
@@ -316,6 +318,8 @@ def orbit_class_census(
     diameter_cap: int,
     type_preserving: bool = True,
     root: int = 0,
+    *,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> CensusReport:
     """Enumerate aligned tuples near the root, bucket them by signature,
     and certify each bucket as one orbit by witnessing every member
@@ -324,13 +328,15 @@ def orbit_class_census(
     The tuples and their spines come from `aligned_spines` restricted to
     the ball of radius diameter_cap + 1 about `root`, with spine length at
     most diameter_cap, taken in sorted order so each bucket's first member
-    is its lowest tuple.  Signatures are read off those spines, with types
-    from the root's distance row.  Each bucket keeps the frame of its first
-    member's spine, whose domain half of the certificate is checked once,
-    when the bucket opens; each member then costs only its images and their
-    half of the certificate (see `orbit_witness`, which takes the same
-    path).  A broken certificate raises `CertificateError` naming the mode,
-    the degree, the class gaps and the representative and member tuples.
+    is its lowest tuple.  More than `dim_cap` of them raise `CapExceeded`
+    before any is sorted or witnessed.  Signatures are read off those
+    spines, with types from the root's distance row.  Each bucket keeps the
+    frame of its first member's spine, whose domain half of the certificate
+    is checked once, when the bucket opens; each member then costs only its
+    images and their half of the certificate (see `orbit_witness`, which
+    takes the same path).  A broken certificate raises `CertificateError`
+    naming the mode, the degree, the class gaps and the representative and
+    member tuples.
     The root's row is the only distance row the census reads, so its memory
     scales with the ball, not with the square of the tree.
     """
@@ -342,9 +348,11 @@ def orbit_class_census(
         raise ValueError(f"root {root} is not a vertex of the tree")
     droot = t.distances_from(root)
     region = [v for v in t.vertices() if droot[v] <= diameter_cap + 1]
-    tuples = sorted(
-        aligned_spines(t, degree + 1, vertices=region, max_length=diameter_cap)
-    )
+    spines = aligned_spines(t, degree + 1, vertices=region, max_length=diameter_cap)
+    tuples = list(islice(spines, dim_cap + 1))
+    if len(tuples) > dim_cap:
+        raise CapExceeded(f"census tuples of degree {degree} passed the cap {dim_cap}")
+    tuples.sort()
     # key -> [frame, size, witnessed, representative]; members are
     # witnessed as they arrive, so no member list is kept.
     classes: dict[tuple, list] = {}

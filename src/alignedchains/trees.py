@@ -241,13 +241,17 @@ def project_to_segment(t: Tree, w: int, u: int, v: int) -> int:
 
 
 def convex_hull(t: Tree, tup: Sequence[int]) -> frozenset[int]:
-    """Vertex set of the subtree spanned by a tuple."""
+    """Vertex set of the subtree spanned by a tuple.
+
+    It is the union of the geodesics from the lowest entry p to the others:
+    in a tree [a, b] lies in [p, a] | [p, b], so no other pair adds a vertex.
+    """
     if not tup:
         raise ValueError("hull of an empty tuple is undefined")
-    points = sorted(set(tup))
-    verts: set[int] = {points[0]}
-    for a, b in combinations(points, 2):
-        verts.update(geodesic(t, a, b))
+    p, *rest = sorted(set(tup))
+    verts: set[int] = {p}
+    for a in rest:
+        verts.update(geodesic(t, p, a))
     return frozenset(verts)
 
 

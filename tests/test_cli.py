@@ -226,6 +226,12 @@ def test_config_errors_exit_two(workdir, capsys):
         ["verify-chainmap", "--regular", "3", "--radius", "2",
          "--samples", "0", "--seed", "s"],
         ["verify-pate", "--random", "9", "--samples", "0", "--seed", "s"],
+        # the census passes its tuple cap
+        ["orbit-report", "--regular", "3", "--radius", "3", "--degree", "2",
+         "--diameter-cap", "6", "--dim-cap", "10"],
+        # path(2)^2 has no window of degree + 2 = 5 vertices to sample from
+        ["flatmate-probe", "--path-family", "2", "3", "--degree", "3",
+         "--samples", "3", "--seed", "s"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

@@ -131,6 +131,11 @@ def test_column_face_outside_rows_rejected():
     bad = AltChain.from_tuples([((0, 1), 1), ((1, 2), -1)])
     with pytest.raises(ValueError):
         min_l1_preimage(problem, bad)
+    # the faces of a column that pricing never reaches are checked too
+    rows = ((0, 1), (0, 2), (1, 2))
+    unpriced = BoundaryProblem(1, rows, ((0, 1, 2), (1, 2, 3)))
+    with pytest.raises(ValueError, match="outside the row family"):
+        min_l1_preimage(unpriced, AltChain.basis((0, 1, 2)).boundary())
 
 
 def test_basis_cap():

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -132,6 +133,14 @@ def test_convex_hull_tripod():
     t = tripod()
     assert convex_hull(t, (1, 2, 3)) == frozenset({0, 1, 2, 3})
     assert convex_hull(t, (1, 2)) == frozenset({0, 1, 2})
+    # geodesics from the lowest entry cover every pair's geodesic
+    for n in (5, 12, 30):
+        r = random_tree(n, f"hull:{n}")
+        rng = random.Random(n)
+        for _ in range(20):
+            tup = rng.sample(range(n), rng.randint(1, 5))
+            paths = (geodesic(r, a, b) for a, b in combinations(tup, 2))
+            assert convex_hull(r, tup) == {tup[0]}.union(*paths)
 
 
 def test_is_aligned():
