@@ -13,7 +13,8 @@ writes one out.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, cycle
+from itertools import combinations, cycle, starmap
+from operator import gt
 from typing import Callable, Iterable, Iterator
 
 Rational = int | Fraction
@@ -26,12 +27,7 @@ def canonicalize_tuple(tup: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """
     if len(set(tup)) != len(tup):
         return tup, 0
-    inversions = 0
-    k = len(tup)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if tup[i] > tup[j]:
-                inversions += 1
+    inversions = sum(starmap(gt, combinations(tup, 2)))
     return tuple(sorted(tup)), -1 if inversions % 2 else 1
 
 

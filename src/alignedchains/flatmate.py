@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .chains import AltChain
@@ -91,18 +92,17 @@ def _flatmate_levels(
     - it grows to [a, f] when d(f, a) = d(f, e) + d(e, a);
     - otherwise no segment holds the prefix and a, so the tuple is dropped.
 
-    That reads three entries of two memoized distance rows per factor.  A
-    single vertex starts with e = f.  Only the level being grown keeps its
-    ends; finished levels are plain tuple lists.  With `dim_cap` set, a
-    level that passes the cap raises `CapExceeded` while it grows, so no
-    later level is started.
+    That reads three entries of two distance rows per factor, each row
+    computed once per call.  A single vertex starts with e = f.  Only the
+    level being grown keeps its ends; finished levels are plain tuple
+    lists.  With `dim_cap` set, a level that passes the cap raises
+    `CapExceeded` while it grows, so no later level is started.
     """
     if size < 1:
         raise ValueError("size must be positive")
     ids = list(p.vertices()) if vertices is None else sorted(set(vertices))
     coords = [p.decode(v) for v in ids]
-    distances1 = p.factor1.distances_from
-    distances2 = p.factor2.distances_from
+    rows1, rows2 = cache(p.factor1.distances_from), cache(p.factor2.distances_from)
 
     def check_cap(level: list[tuple[int, ...]], length: int) -> None:
         if dim_cap is not None and len(level) > dim_cap:
@@ -120,8 +120,8 @@ def _flatmate_levels(
         grown: list[tuple[int, ...]] = []
         grown_ends: list[tuple[int, int, int, int, int]] = []
         for tup, (i, e1, f1, e2, f2) in zip(level, ends):
-            de1, df1 = distances1(e1), distances1(f1)
-            de2, df2 = distances2(e2), distances2(f2)
+            de1, df1 = rows1(e1), rows1(f1)
+            de2, df2 = rows2(e2), rows2(f2)
             d1, d2 = de1[f1], de2[f2]
             for j in range(i + 1, len(ids)):
                 a, b = coords[j]
@@ -213,9 +213,8 @@ def hull_problem(p: ProductComplex, degree: int, chain: AltChain) -> BoundaryPro
 
 
 def _tree_diameter(t: Tree) -> int:
-    far = max(t.vertices(), key=lambda v: t.distance(0, v))
-    dist = t.distances_from(far)
-    return max(dist[v] for v in t.vertices())
+    depth = t.rooted.depth
+    return max(t.distances_from(depth.index(max(depth))))
 
 
 def _random_segment(t: Tree, size: int, rng: random.Random) -> list[int]:
@@ -246,13 +245,13 @@ def sample_window_cycles(
     LP warm start.  Window locality keeps the filling problems small while
     still sampling cycles at every position of the instance; it is a
     sampling choice, not a restriction of the complex being probed.
-    Factors whose largest window holds fewer than degree + 2 vertices
-    raise `ValueError` before any draw.
+    Factors whose largest window holds fewer than degree + 2 vertices,
+    or none (a first factor gives at least two), raise `ValueError` first.
     """
     diam1 = _tree_diameter(p.factor1)
     diam2 = _tree_diameter(p.factor2)
-    s1_high = max(2, min(6, diam1 + 1, _WINDOW_CAP // 2))
-    if s1_high * (diam2 + 1) < degree + 2:
+    s1_high = min(6, diam1 + 1, _WINDOW_CAP // 2)
+    if s1_high < 2 or s1_high * (diam2 + 1) < degree + 2:
         sizes = (p.factor1.vertex_count, p.factor2.vertex_count)
         raise ValueError(
             f"factors of sizes {sizes} have no window of {degree + 2} vertices, "

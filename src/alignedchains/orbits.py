@@ -104,9 +104,7 @@ def _signature_data(
     ends = diametral_pair(t, x)
     if ends is None:
         raise ValueError("signature is defined for aligned tuples only")
-    return _spine_signature(
-        x, geodesic(t, *ends), t.distances_from(0), type_preserving
-    )
+    return _spine_signature(x, geodesic(t, *ends), t.rooted.depth, type_preserving)
 
 
 def aligned_signature(
@@ -161,7 +159,7 @@ def orbit_witness(
     if key_x != key_y:
         return WitnessResult("signature_mismatch", None)
     frame = _spine_frame(t, spine_x)
-    images = _frame_images(t, frame, spine_y, type_preserving, t.distances_from(0))
+    images = _frame_images(t, frame, spine_y, type_preserving, t.rooted.depth)
     if images is None:
         return WitnessResult("ball_too_small", None)
     return WitnessResult("ok", PartialIsometry(dict(zip(frame.domain, images))))

@@ -6,6 +6,10 @@ segment [x_i, x_j].  Degrees 0 and 1 are fixed pointwise.  The map is a
 chain map, restricts to the identity on aligned chains, and its value on a
 basis tuple collapses to at most four terms that can be rewritten through
 the end-pair bracket below.
+
+In a tree the point of [x_i, x_j] nearest x_k is the median of the three,
+read off the rooted index (`Tree.rooted`); no distance row is read and no
+geodesic is built.
 """
 
 from __future__ import annotations
@@ -14,39 +18,49 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 from typing import Sequence
 
-from .chains import AltChain, Rational
-from .trees import Tree, geodesic
+from .chains import AltChain, Rational, canonicalize_tuple
+from .trees import Tree
 
 
 def project_tuple(t: Tree, tup: Sequence[int]) -> AltChain:
     """Projection of a single (possibly unordered) tuple, as a chain.
 
-    The pairwise distances are read once from the entries' rows.  On the
-    segment [x_i, x_j] the point nearest x_k sits at offset
-    (d(x_k, x_i) + d(x_i, x_j) - d(x_k, x_j)) / 2 from x_i, so a pair whose
-    offsets repeat projects to a tuple with a repeated entry, which is
-    zero, and its geodesic is never built.
+    On [x_i, x_j] the point nearest x_k is the deepest of the entries'
+    pairwise LCAs, read once; a pair whose n + 1 medians repeat projects
+    to a tuple with a repeated entry, which is zero, and is skipped.
     """
-    x = tuple(tup)
+    return _projection(t, tuple(tup))[0]
+
+
+def _projection(t: Tree, x: tuple[int, ...]) -> tuple[AltChain, bool]:
+    """`project_tuple`'s chain, and whether some coordinate pair had
+    pairwise distinct medians (the caterpillar case)."""
     n = len(x) - 1
     if n < 0:
         raise ValueError("empty tuple has no degree")
     if n == 0:
-        return AltChain.basis(x)
-    dist = [[row[w] for w in x] for row in map(t.distances_from, x)]
-    pairs: list[tuple[tuple[int, ...], Rational]] = []
+        return AltChain.basis(x), False
+    size = t.vertex_count
+    lca = t.rooted.lca_keys(x)
+    # Two of lca(x_i, x_k), lca(x_j, x_k) and top = lca(x_i, x_j) agree; the
+    # median is the third, so its key is top + |d| for d the first two's
+    # difference, whose sign tells x_i's side from x_j's: medians repeat
+    # exactly when differences do.
+    terms: dict[tuple[int, ...], int] = {}
+    kept = False
     for i, j in combinations(range(n + 1), 2):
-        length = dist[i][j]
-        offsets = [(a + length - b) // 2 for a, b in zip(dist[i], dist[j])]
-        if len(set(offsets)) <= n:
+        li, lj = lca[i], lca[j]
+        if len(set(map(sub, li, lj))) <= n:
             continue
-        seg = geodesic(t, x[i], x[j])
-        pairs.append((tuple(seg[o] for o in offsets), 1))
-    if not pairs:
-        return AltChain.zero(n)
-    return AltChain.from_tuples(pairs)
+        kept = True
+        top = li[j]
+        points = tuple((top + abs(a - b)) % size for a, b in zip(li, lj))
+        key, sign = canonicalize_tuple(points)
+        terms[key] = terms.get(key, 0) + sign
+    return AltChain(n, {key: c for key, c in terms.items() if c}), kept
 
 
 def project_to_aligned(t: Tree, chain: AltChain) -> AltChain:
@@ -86,24 +100,24 @@ def caterpillar_layout(
 ) -> CaterpillarForm | None:
     """Detect the caterpillar shape of `tup` over the segment [tup_i, tup_j].
 
-    Returns None unless the projections of all coordinates onto that
-    segment are pairwise distinct (which forces tup_i, tup_j to be distinct
-    leaves of the hull).
+    Returns None unless the projections onto that segment, the medians of
+    tup_i, tup_j and each coordinate, are pairwise distinct: exactly when
+    `project_tuple` keeps the pair (and tup_i, tup_j are hull leaves).
     """
     x = tuple(tup)
     if not (0 <= i < j <= len(x) - 1):
         raise ValueError("need 0 <= i < j within the tuple")
-    u, v = x[i], x[j]
-    du, dv = t.distances_from(u), t.distances_from(v)
-    length = du[v]
-    offsets = [(du[w] + length - dv[w]) // 2 for w in x]
-    if len(set(offsets)) != len(x):
+    lca = t.rooted.lca_keys(x)
+    diffs = list(map(sub, lca[i], lca[j]))
+    if len(set(diffs)) != len(x):
         return None
-    seg = geodesic(t, u, v)
+    top = lca[i][j]
+    points = [(top + abs(d)) % t.vertex_count for d in diffs]
+    offsets = [t.distance(x[i], p) for p in points]
     order = tuple(sorted(range(len(x)), key=offsets.__getitem__))
-    spine_points = tuple(seg[offsets[k]] for k in order)
+    spine_points = tuple(points[k] for k in order)
     spine_positions = tuple(offsets[k] for k in order)
-    hang = tuple(t.distance(x[k], seg[offsets[k]]) for k in order)
+    hang = tuple(t.distance(x[k], points[k]) for k in order)
     return CaterpillarForm(order, spine_points, spine_positions, hang)
 
 
@@ -295,7 +309,8 @@ def projection_norm_scan(t: Tree, degree: int, samples: int, seed: int) -> NormS
 
     The pair-count bound (n+1)(n+2)/2 must hold for every tuple; tuples
     admitting a caterpillar layout for some coordinate pair are checked
-    against the sharper bound 4.
+    against the sharper bound 4; the projection reports whether it kept a
+    pair, which is exactly that case, so no layout is built.
     """
     if t.vertex_count < degree + 1:
         raise ValueError("tree too small for the requested degree")
@@ -307,14 +322,12 @@ def projection_norm_scan(t: Tree, degree: int, samples: int, seed: int) -> NormS
     ids = range(t.vertex_count)
     for _ in range(samples):
         tup = tuple(sorted(rng.sample(ids, degree + 1)))
-        norm = project_tuple(t, tup).l1_norm()
+        chain, caterpillar = _projection(t, tup)
+        norm = chain.l1_norm()
         max_norm = max(max_norm, norm)
         if norm > bound:
             violations += 1
-        if any(
-            caterpillar_layout(t, tup, i, j) is not None
-            for i, j in combinations(range(degree + 1), 2)
-        ):
+        if caterpillar:
             std_count += 1
             std_max = max(std_max, norm)
             if norm > 4:

@@ -3,12 +3,12 @@
 Vertices are the integers 0..n-1.  All distances, geodesics, nearest-point
 projections and convex hulls are computed combinatorially, so every result
 is exact.  Trees are immutable once built and safe to share between tasks.
-The per-source BFS distance cache only grows, one full row for each source
-that `distances_from` is asked about: `geodesic`, `diametral_pair`,
-`project_to_segment`, the isometry checks and the flatmate enumerator
-fill it, and a freshly built tree holds no row.  `aligned_tuples` and
-`aligned_spines` read no rows; they walk a breadth-first search cut at the
-spine length instead.
+A tree builds one rooted index (`Tree.rooted`) on first use: an Euler
+tour and a sparse table of its minima give a lowest common ancestor (LCA),
+so a distance or a median of three, in O(1) (Bender and Farach-Colton,
+"The LCA problem revisited", 2000).  Nothing else is kept; each
+`distances_from` call is one breadth-first search.  `aligned_tuples` and
+`aligned_spines` use neither: they walk a search cut at the spine length.
 """
 
 from __future__ import annotations
@@ -16,21 +16,53 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .limits import DEFAULT_VERTEX_CAP, CapExceeded
 
 
+class RootedIndex(NamedTuple):
+    """Vertex 0 as root: parents, depths, each vertex's first position on
+    an Euler tour, and `table[k][i]`, the least key among tour entries
+    i .. i + 2**k - 1.  A vertex's key is depth * n + vertex, so the least
+    key between two first positions is their LCA's, and key % n its vertex."""
+
+    parent: list[int]
+    depth: list[int]
+    first: list[int]
+    table: list[list[int]]
+
+    def lca_key(self, u: int, v: int) -> int:
+        i, j = self.first[u], self.first[v]
+        if i > j:
+            i, j = j, i
+        k = (j - i + 1).bit_length() - 1
+        return min(self.table[k][i], self.table[k][j - (1 << k) + 1])
+
+    def lca_keys(self, xs: Sequence[int]) -> list[list[int]]:
+        """LCA keys of every two entries of `xs`, as a symmetric matrix."""
+        first, table, depth, n = self.first, self.table, self.depth, len(self.first)
+        keys = [[depth[w] * n + w] * len(xs) for w in xs]
+        for i, j in combinations(range(len(xs)), 2):
+            a, b = first[xs[i]], first[xs[j]]
+            if a > b:
+                a, b = b, a
+            k = (b - a + 1).bit_length() - 1
+            row = table[k]
+            keys[i][j] = keys[j][i] = min(row[a], row[b - (1 << k) + 1])
+        return keys
+
+
 @dataclass(frozen=True)
 class Tree:
-    """Adjacency-list view of a finite tree on vertices 0..n-1."""
+    """Adjacency-list view of a finite tree on vertices 0..n-1.  Metric
+    queries read `rooted`, built by one iterative depth-first walk on first
+    use; it is not a field, so not in `==`.  No distance row is memoized."""
 
     adjacency: tuple[tuple[int, ...], ...]
-    _dist_cache: dict[int, list[int]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     @property
     def vertex_count(self) -> int:
@@ -42,11 +74,31 @@ class Tree:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
+    @cached_property
+    def rooted(self) -> RootedIndex:
+        adjacency = self.adjacency
+        n = len(adjacency)
+        parent, depth, first, tour = [-1] * n, [0] * n, [0] * n, [0]
+        stack = [(0, iter(adjacency[0]))]
+        while stack:
+            v, rest = stack[-1]
+            w = next(rest, -1)
+            if w < 0:
+                stack.pop()
+                if stack:  # back at the parent: its key again
+                    tour.append(tour[first[parent[v]]])
+            elif w != parent[v]:
+                parent[w], depth[w], first[w] = v, depth[v] + 1, len(tour)
+                tour.append(depth[w] * n + w)
+                stack.append((w, iter(adjacency[w])))
+        table = [tour]
+        while 2 ** len(table) <= len(tour):
+            half = 2 ** (len(table) - 1)
+            table.append(list(map(min, table[-1], table[-1][half:])))
+        return RootedIndex(parent, depth, first, table)
+
     def distances_from(self, source: int) -> list[int]:
-        """All distances from `source`, memoized per source."""
-        cached = self._dist_cache.get(source)
-        if cached is not None:
-            return cached
+        """All distances from `source`, by one breadth-first search."""
         dist = [-1] * len(self.adjacency)
         dist[source] = 0
         queue = deque([source])
@@ -57,11 +109,11 @@ class Tree:
                 if dist[w] < 0:
                     dist[w] = du + 1
                     queue.append(w)
-        self._dist_cache[source] = dist
         return dist
 
     def distance(self, u: int, v: int) -> int:
-        return self.distances_from(u)[v]
+        depth = self.rooted.depth
+        return depth[u] + depth[v] - 2 * (self.rooted.lca_key(u, v) // len(depth))
 
 
 def build_tree(edges: Iterable[tuple[int, int]], vertex_count: int | None = None) -> Tree:
@@ -98,7 +150,7 @@ def build_tree(edges: Iterable[tuple[int, int]], vertex_count: int | None = None
         adj[a].append(b)
         adj[b].append(a)
     # Edge count is right, so connectivity also rules out cycles.  The walk
-    # leaves the distance memo empty.
+    # builds no rooted index.
     seen = [False] * n
     seen[0] = True
     stack = [0]
@@ -215,29 +267,23 @@ def tree_from_pruefer(seq: Sequence[int]) -> Tree:
 
 
 def geodesic(t: Tree, u: int, v: int) -> list[int]:
-    """Vertices of the unique path from u to v, inclusive."""
-    dist_v = t.distances_from(v)
-    path = [u]
-    cur = u
-    while cur != v:
-        target = dist_v[cur] - 1
-        for w in t.adjacency[cur]:
-            if dist_v[w] == target:
-                cur = w
-                break
-        path.append(cur)
-    return path
+    """Vertices of the unique path from u to v, inclusive: parents climbed
+    from both ends to their LCA."""
+    index = t.rooted
+    top = index.lca_key(u, v) % t.vertex_count
+    up, down = [u], [v]
+    for path in (up, down):
+        while path[-1] != top:
+            path.append(index.parent[path[-1]])
+    return up + down[-2::-1]
 
 
 def project_to_segment(t: Tree, w: int, u: int, v: int) -> int:
-    """Nearest point to w on the segment [u, v].
-
-    It sits where the geodesics from w to u and to v part, at
-    (d(w, u) + d(u, v) - d(w, v)) / 2 from u.
-    """
-    duv = t.distance(u, v)
-    dw = t.distances_from(w)
-    return geodesic(t, u, v)[(dw[u] + duv - dw[v]) // 2]
+    """Nearest point to w on the segment [u, v]: the median of w, u and v,
+    on all three of their geodesics, which is the deepest of their
+    pairwise LCAs (a tree is a median graph)."""
+    lca_key = t.rooted.lca_key
+    return max(lca_key(w, u), lca_key(w, v), lca_key(u, v)) % t.vertex_count
 
 
 def convex_hull(t: Tree, tup: Sequence[int]) -> frozenset[int]:
@@ -271,9 +317,7 @@ def diametral_pair(t: Tree, tup: Sequence[int]) -> tuple[int, int] | None:
         if d > best[0]:
             best = (d, a, b)
     dmax, a, b = best
-    da = t.distances_from(a)
-    db = t.distances_from(b)
-    if any(da[p] + db[p] != dmax for p in points):
+    if any(t.distance(a, p) + t.distance(p, b) != dmax for p in points):
         return None
     return (a, b) if a < b else (b, a)
 
@@ -372,12 +416,11 @@ class PartialIsometry:
         if len({b for _, b in items}) != len(items):
             raise ValueError("mapping is not injective")
         for i, (a1, b1) in enumerate(items):
-            d1 = t.distances_from(a1)
-            e1 = t.distances_from(b1)
             for a2, b2 in items[i + 1 :]:
-                if d1[a2] != e1[b2]:
+                d, e = t.distance(a1, a2), t.distance(b1, b2)
+                if d != e:
                     raise ValueError(
-                        f"distance mismatch: d({a1},{a2})={d1[a2]} but d({b1},{b2})={e1[b2]}"
+                        f"distance mismatch: d({a1},{a2})={d} but d({b1},{b2})={e}"
                     )
 
     def has_even_displacement(self, t: Tree) -> bool:
@@ -404,8 +447,7 @@ def extend_partial_isometry(
     # nearest mapped vertex, ordered by distance from the domain.
     needed: set[int] = set()
     for tv in pending:
-        dists = t.distances_from(tv)
-        anchor = min(mapping, key=lambda m: (dists[m], m))
+        anchor = min(mapping, key=lambda m: (t.distance(tv, m), m))
         needed.update(geodesic(t, tv, anchor))
     needed -= mapping.keys()
     used = set(mapping.values())
@@ -418,13 +460,11 @@ def extend_partial_isometry(
             return None
         w = frontier[0]
         anchor = next(nb for nb in t.adjacency[w] if nb in mapping)
-        dw = t.distances_from(w)
         image = None
         for cand in t.adjacency[mapping[anchor]]:
             if cand in used:
                 continue
-            dc = t.distances_from(cand)
-            if all(dw[a] == dc[b] for a, b in mapping.items()):
+            if all(t.distance(w, a) == t.distance(cand, b) for a, b in mapping.items()):
                 image = cand
                 break
         if image is None:

@@ -8,6 +8,23 @@ def pytest_configure(config):
     )
 
 
+@pytest.fixture
+def row_reads(monkeypatch):
+    """Sources of the `Tree.distances_from` calls made during the test, in
+    order; clear it to start counting later."""
+    from alignedchains.trees import Tree
+
+    reads = []
+    real = Tree.distances_from
+
+    def spy(tree, source):
+        reads.append(source)
+        return real(tree, source)
+
+    monkeypatch.setattr(Tree, "distances_from", spy)
+    return reads
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

@@ -6,9 +6,15 @@ tolerance.  Randomness is seeded per criterion, so reruns check the same
 instances.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
+from textwrap import dedent
 
 import pytest
 
@@ -230,30 +236,65 @@ def test_criterion_8_flatmate_probe():
             assert flatmate_tuples(product, size) == aligned_tuples(tree, size)
 
 
+# criterion 9's configs: report file name, argv
+DETERMINISM_RUNS = [
+    (
+        "chainmap.json",
+        ["verify-chainmap", "--regular", "3", "--radius", "2",
+         "--degree", "2", "--samples", "10", "--seed", "d1",
+         "--out", "chainmap.json"],
+    ),
+    (
+        "orbits.json",
+        ["orbit-report", "--regular", "3", "--radius", "4",
+         "--diameter-cap", "2", "--out", "orbits.json"],
+    ),
+    (
+        "probe.csv",
+        ["flatmate-probe", "--path-family", "2", "3", "--samples", "5",
+         "--seed", "d2", "--format", "csv", "--out", "probe.csv"],
+    ),
+]
+
+
 @pytest.mark.criterion(9, "repeated CLI runs reproduce their reports")
 def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    runs = [
-        (
-            "chainmap.json",
-            ["verify-chainmap", "--regular", "3", "--radius", "2",
-             "--degree", "2", "--samples", "10", "--seed", "d1",
-             "--out", "chainmap.json"],
-        ),
-        (
-            "orbits.json",
-            ["orbit-report", "--regular", "3", "--radius", "4",
-             "--diameter-cap", "2", "--out", "orbits.json"],
-        ),
-        (
-            "probe.csv",
-            ["flatmate-probe", "--path-family", "2", "3", "--samples", "5",
-             "--seed", "d2", "--format", "csv", "--out", "probe.csv"],
-        ),
-    ]
-    for name, argv in runs:
+    for name, argv in DETERMINISM_RUNS:
         assert main(argv) == 0
         first = (tmp_path / name).read_text()
         assert main(argv) == 0
         second = (tmp_path / name).read_text()
         assert strip_volatile(first) == strip_volatile(second), name
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # criterion 9's configs, each hash seed in a fresh interpreter
+    code = dedent(
+        """
+        import json, sys
+        from alignedchains.cli import main
+        from alignedchains.reporting import strip_volatile
+        texts = {}
+        for name, argv in json.loads(sys.argv[1]):
+            assert main(argv) == 0
+            with open(name, encoding="utf-8") as handle:
+                texts[name] = strip_volatile(handle.read())
+        print(json.dumps(texts))
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("1", "2", "3"):
+        cwd = tmp_path / hash_seed
+        cwd.mkdir()
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(DETERMINISM_RUNS)],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(json.loads(done.stdout.splitlines()[-1]))
+    assert set(outputs[0]) == {name for name, _ in DETERMINISM_RUNS}
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -255,6 +255,20 @@ def test_sample_window_cycles_properties():
         assert all(is_flatmate(p, col) for col in witness)
 
 
+def test_one_vertex_first_factor_fails_before_any_draw():
+    # a window takes at least two vertices of the first factor
+    p = ProductComplex(path_tree(1), path_tree(5))
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="no window"):
+        sample_window_cycles(p, 1, 3, rng)
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="no window"):
+        homotopy_norm_probe([p], 1, 3, "s")
+    # the factors the other way round still sample
+    assert len(sample_window_cycles(ProductComplex(path_tree(5), path_tree(1)), 1, 3, rng)) == 3
+
+
 def test_probe_smoke_and_determinism():
     family = path_product_family(2, 3)
     reports = homotopy_norm_probe(family, 1, 6, "probe-test")

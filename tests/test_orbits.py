@@ -308,21 +308,22 @@ def test_image_half_rejects_mutated_images():
         _certify_images(t, frame, moved)
 
 
-def test_census_reads_only_the_root_row():
+def test_census_reads_only_the_root_row(row_reads):
     t = regular_ball(3, 9)
     for type_preserving in (True, False):
         orbit_class_census(t, 1, 7, type_preserving=type_preserving)
-    assert len(t._dist_cache) <= 1
+    assert row_reads == [0, 0]
+    # nor does it build the rooted index, whose size grows with the tree
+    assert "rooted" not in vars(t)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
-def test_census_types_from_an_odd_root(degree):
+def test_census_types_from_an_odd_root(degree, row_reads):
     # the root's row gives the same bipartition bit as vertex 0's row
     t = regular_ball(3, 4)
     root, cap = 1, 3
-    t._dist_cache.clear()
     census = orbit_class_census(t, degree, cap, root=root)
-    assert set(t._dist_cache) == {root}
+    assert row_reads == [root]
     droot = t.distances_from(root)
     region = [v for v in t.vertices() if droot[v] <= cap + 1]
     expected = Counter(
@@ -380,10 +381,11 @@ def test_census_counts_ball_too_small():
     assert not census.all_witnessed
 
 
-def test_census_rejects_root_outside_tree():
+def test_census_rejects_root_outside_tree(row_reads):
     t = regular_ball(3, 2)
     for root in (t.vertex_count, 999, -1):
         with pytest.raises(ValueError, match="root"):
             orbit_class_census(t, 1, 2, root=root)
-    # a negative root must not be read as a vertex from the end
-    assert set(t._dist_cache) <= set(t.vertices())
+    # a negative root must not be read as a vertex from the end; no row is
+    # read at all
+    assert row_reads == []

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alignedchains.projection as projection
+import alignedchains.trees as trees
 from alignedchains.chains import AltChain
 from alignedchains.projection import (
     bracket_from_layout,
@@ -26,6 +27,7 @@ from alignedchains.trees import (
     random_tree,
     regular_ball,
 )
+import reference
 
 
 def tripod():
@@ -166,9 +168,9 @@ def test_naturality_under_reflection():
         assert lhs == rhs
 
 
-def test_projection_builds_geodesics_only_for_pairs_with_distinct_offsets(monkeypatch):
-    # a pair whose projections collide gives a zero term, so its segment
-    # is never walked; the offsets come from distances alone
+def test_projection_walks_no_geodesic_and_reads_no_row(monkeypatch, row_reads):
+    # every projected coordinate is a median read off the rooted index, so
+    # no segment is walked, not even for the pairs with distinct offsets
     t = regular_ball(3, 6)
     x = (55, 77, 91, 103, 122, 149)
     live = [
@@ -177,14 +179,59 @@ def test_projection_builds_geodesics_only_for_pairs_with_distinct_offsets(monkey
         if len({project_to_segment(t, w, x[i], x[j]) for w in x}) == len(x)
     ]
     assert 0 < len(live) < 15
-    expected = project_tuple(t, x)
+    expected = AltChain.from_tuples(
+        (tuple(project_to_segment(t, w, x[i], x[j]) for w in x), 1) for i, j in live
+    )
     walked = []
-    real = projection.geodesic
+    real = trees.geodesic
 
     def counting(tree, u, v):
         walked.append((u, v))
         return real(tree, u, v)
 
-    monkeypatch.setattr(projection, "geodesic", counting)
+    monkeypatch.setattr(trees, "geodesic", counting)
+    monkeypatch.setattr(projection, "geodesic", counting, raising=False)
+    row_reads.clear()
     assert project_tuple(t, x) == expected
-    assert walked == [(x[i], x[j]) for i, j in live]
+    assert walked == [] and row_reads == []
+
+
+@pytest.mark.parametrize(
+    "t",
+    [regular_ball(3, 4), regular_ball(4, 3), random_tree(60, "median"), path_tree(12)],
+    ids=["ball34", "ball43", "random60", "path12"],
+)
+def test_median_projection_matches_the_offset_reference(t):
+    # seeded tuples of degrees 0..5, some with repeated entries, none sorted
+    rng = random.Random(t.vertex_count)
+    ids = range(t.vertex_count)
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        if rng.random() < 0.3:
+            x = tuple(rng.choice(ids) for _ in range(k))
+        else:
+            x = tuple(rng.sample(ids, k))
+        assert project_tuple(t, x) == reference.project_tuple(t, x), x
+        for i, j in combinations(range(k), 2):
+            assert caterpillar_layout(t, x, i, j) == reference.caterpillar_layout(t, x, i, j)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_norm_scan_standard_count_matches_caterpillar_layouts(seed):
+    # the scan reads "some pair kept" off the projection; count the
+    # caterpillar tuples directly, on the tuples the scan draws
+    t = random_tree(40, seed)
+    for degree in (0, 2, 4):
+        rng = random.Random(seed)
+        expected = 0
+        for _ in range(60):
+            tup = tuple(sorted(rng.sample(range(t.vertex_count), degree + 1)))
+            expected += any(
+                caterpillar_layout(t, tup, i, j) is not None
+                for i, j in combinations(range(degree + 1), 2)
+            )
+        report = projection_norm_scan(t, degree, 60, seed)
+        assert report.standard_count == expected
+        assert (expected > 0) == (degree > 0)
+        if degree == 0:
+            assert report.max_norm_num == report.max_norm_den == 1

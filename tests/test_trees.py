@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,8 @@ from alignedchains.trees import (
     regular_ball,
     tree_from_pruefer,
 )
+from reference import bfs_geodesic, bfs_median, bfs_row
+from small_trees import nonisomorphic_trees
 
 
 def tripod() -> Tree:
@@ -40,8 +42,9 @@ def test_build_tree_rejects_bad_input():
         build_tree([(0, 1), (3, 4)])  # gap in ids
 
 
-def test_build_tree_leaves_the_distance_memo_empty():
-    # the connectivity check walks the edges without filling a memo row
+def test_build_tree_builds_no_rooted_index(row_reads):
+    # the connectivity check walks the edges without reading a distance
+    # row or building the rooted index
     trees = [
         tripod(),
         path_tree(5),
@@ -49,7 +52,8 @@ def test_build_tree_leaves_the_distance_memo_empty():
         random_tree(30, 7),
         tree_from_pruefer((0, 0)),
     ]
-    assert all(not t._dist_cache for t in trees)
+    assert row_reads == []
+    assert all("rooted" not in vars(t) for t in trees)
     # right edge count, but a triangle plus a stray edge
     with pytest.raises(ValueError, match="connected"):
         build_tree([(0, 1), (1, 2), (2, 0), (3, 4)])
@@ -118,6 +122,55 @@ def test_geodesic_matches_distance(n, seed):
         assert path[0] == u and path[-1] == v
         assert len(path) == t.distance(u, v) + 1
         assert all(t.distance(a, b) == 1 for a, b in zip(path, path[1:]))
+
+
+def assert_index_matches_bfs(t, pairs, triples):
+    """distance, geodesic and the median against breadth-first rows."""
+    rows = {}
+
+    def row(v):
+        if v not in rows:
+            rows[v] = bfs_row(t, v)
+        return rows[v]
+
+    for u, v in pairs:
+        assert t.distance(u, v) == row(u)[v]
+        assert geodesic(t, u, v) == bfs_geodesic(t, u, v, row(v))
+    for a, b, c in triples:
+        for v in (a, b, c):
+            row(v)
+        # the nearest point of [b, c] to a is the median of the three
+        assert project_to_segment(t, a, b, c) == bfs_median(rows, a, b, c)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rooted_index_matches_bfs_on_every_small_tree(n):
+    for t in nonisomorphic_trees(n):
+        ids = t.vertices()
+        assert_index_matches_bfs(t, product(ids, repeat=2), product(ids, repeat=3))
+
+
+def test_rooted_index_matches_bfs_on_large_and_random_trees():
+    # the long path checks that building the index does not recurse
+    cases = [path_tree(3000)] + [random_tree(n, f"index:{n}") for n in (2, 9, 80, 400)]
+    for t in cases:
+        rng = random.Random(t.vertex_count)
+        ids = range(t.vertex_count)
+        pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(60)]
+        triples = [tuple(rng.choice(ids) for _ in range(3)) for _ in range(60)]
+        assert_index_matches_bfs(t, pairs, triples)
+    t = path_tree(3000)
+    assert t.distance(0, 2999) == 2999
+    assert geodesic(t, 2999, 0) == list(range(2999, -1, -1))
+
+
+def test_rooted_index_is_lazy_and_not_a_field():
+    t, twin = random_tree(12, "lazy"), random_tree(12, "lazy")
+    assert "rooted" not in vars(t)
+    t.distance(0, 5)
+    assert "rooted" in vars(t)
+    assert t == twin and repr(t) == repr(twin)
+    assert t.rooted.depth == t.distances_from(0)
 
 
 def test_project_to_segment_cases():
