@@ -33,12 +33,10 @@ _EXPORTS = {
     "ProductComplex": "flatmate",
     "aligned_boundary_problem": "flatmate",
     "flag_growth": "flatmate",
-    "flatmate_boundary_problem": "flatmate",
     "flatmate_exactness": "flatmate",
     "flatmate_tuples": "flatmate",
     "homotopy_norm_probe": "flatmate",
     "hull_problem": "flatmate",
-    "is_flatmate": "flatmate",
     "path_product_family": "flatmate",
     "sample_window_cycles": "flatmate",
     "DEFAULT_DIM_CAP": "limits",
@@ -79,7 +77,6 @@ _EXPORTS = {
     "load_tree": "trees",
     "parse_edge_list": "trees",
     "path_tree": "trees",
-    "project_to_segment": "trees",
     "random_tree": "trees",
     "regular_ball": "trees",
     "tree_from_pruefer": "trees",

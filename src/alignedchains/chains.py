@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, cycle, starmap
 from operator import gt
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 Rational = int | Fraction
 
@@ -87,14 +87,8 @@ class AltChain:
         """Terms in sorted key order, for deterministic output."""
         return sorted(self.terms.items())
 
-    def support(self) -> set[tuple[int, ...]]:
-        return set(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
 
     def l1_norm(self) -> Fraction:
         return sum((abs(c) for c in self.terms.values()), Fraction(0))
@@ -103,20 +97,6 @@ class AltChain:
         if self.degree != 0:
             raise ValueError("augmentation is defined on degree-0 chains")
         return sum(self.terms.values(), Fraction(0))
-
-    def face(self, j: int) -> "AltChain":
-        """Drop the j-th coordinate of every canonical term."""
-        if not 0 <= j <= self.degree:
-            raise ValueError(f"face index {j} out of range for degree {self.degree}")
-        out: dict[tuple[int, ...], Rational] = {}
-        for key, coeff in self.terms.items():
-            face = key[:j] + key[j + 1 :]
-            value = out.get(face, 0) + coeff
-            if value:
-                out[face] = value
-            else:
-                out.pop(face, None)
-        return AltChain(self.degree - 1, out)
 
     def boundary(self) -> "AltChain":
         """Alternating sum of faces; degree must be at least 1."""
@@ -131,14 +111,6 @@ class AltChain:
                 else:
                     out.pop(face, None)
         return AltChain(self.degree - 1, out)
-
-    def map_vertices(self, func: Callable[[int], int]) -> "AltChain":
-        """Push the chain through a vertex map, killing repeated images."""
-        if not self.terms:
-            return AltChain.zero(self.degree)
-        return AltChain.from_tuples(
-            (tuple(func(v) for v in key), coeff) for key, coeff in self.terms.items()
-        )
 
     def __add__(self, other: "AltChain") -> "AltChain":
         if self.degree != other.degree:

@@ -86,12 +86,7 @@ class ExperimentConfig:
 
 
 def resolve_tree(cfg: ExperimentConfig) -> Tree:
-    sources = [
-        cfg.tree_file is not None,
-        cfg.regular is not None,
-        cfg.random_n is not None,
-    ]
-    if sum(sources) != 1:
+    if sum(s is not None for s in (cfg.tree_file, cfg.regular, cfg.random_n)) != 1:
         raise ValueError(
             "exactly one tree source is required: --tree-file, --regular, or --random"
         )
@@ -220,6 +215,8 @@ def _run_flatmate_probe(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool]:
     kmin, kmax = cfg.path_family
     if not 2 <= kmin <= kmax:
         raise ValueError("--path-family needs 2 <= KMIN <= KMAX")
+    if kmax**2 > cfg.vertex_cap:
+        raise CapExceeded(f"path({kmax})^2 has {kmax**2} vertices (cap {cfg.vertex_cap})")
     threshold = parse_rational(cfg.growth_threshold)
     if threshold <= 0:
         raise ValueError("--growth-threshold must be positive")
@@ -311,12 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", help="report path (default <command>-report.<fmt>)")
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
-    shared.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
-    shared.add_argument("--lp-basis-cap", type=int, default=DEFAULT_LP_BASIS_CAP)
-    on_tree = [tree_source, shared]
+    # only the subcommands that build levels of tuples honour, so offer, --dim-cap
+    dim_cap = argparse.ArgumentParser(add_help=False)
+    dim_cap.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
+    on_tree, capped = [tree_source, shared], [shared, dim_cap]
+    sized = [tree_source, *capped]
 
     p = sub.add_parser(
-        "verify-exactness", parents=on_tree, help="rank/kernel audit per degree"
+        "verify-exactness", parents=sized, help="rank/kernel audit per degree"
     )
     p.add_argument("--aligned", action="store_true", help="aligned subcomplex only")
     p.add_argument("--nmax", type=int, default=3)
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
 
     p = sub.add_parser(
-        "orbit-report", parents=on_tree, help="signature census with orbit witnesses"
+        "orbit-report", parents=sized, help="signature census with orbit witnesses"
     )
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--diameter-cap", type=int, default=4)
@@ -346,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", type=int, default=0)
 
     p = sub.add_parser(
-        "flatmate-probe", parents=[shared], help="filling-norm probe on path products"
+        "flatmate-probe", parents=capped, help="filling-norm probe on path products"
     )
+    p.add_argument("--lp-basis-cap", type=int, default=DEFAULT_LP_BASIS_CAP)
     p.add_argument(
         "--path-family",
         nargs=2,

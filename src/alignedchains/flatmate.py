@@ -6,12 +6,11 @@ the tuple fits inside a product of two geodesic segments.  One enumerator,
 `_flatmate_levels`, grows every level of the complex in one pass: each
 tuple carries its segment ends in both factors, and a new vertex is
 tested against them by the betweenness of tree metrics (Buneman, 1974),
-three distance lookups per factor.  `is_flatmate` is the direct test,
-kept as a reference.  The flatmate subcomplex supports the same exactness
-checks as the aligned complex, and an LP probe estimates, instance by
-instance, the best constant for filling unit cycles by one-degree-up
-chains.  The probe emits data only; it never decides whether those
-constants stay bounded as instances grow.
+three distance lookups per factor.  The flatmate subcomplex supports the
+same exactness checks as the aligned complex, and an LP probe estimates,
+instance by instance, the best constant for filling unit cycles by
+one-degree-up chains.  The probe emits data only; it never decides
+whether those constants stay bounded as instances grow.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .chains import AltChain
 from .exactness import DegreeExactness, verify_exactness
 from .limits import DEFAULT_DIM_CAP, DEFAULT_LP_BASIS_CAP, CapExceeded
 from .lp import BoundaryProblem, min_l1_preimage
-from .trees import Tree, aligned_tuples, convex_hull, geodesic, is_aligned, path_tree
+from .trees import Tree, aligned_tuples, convex_hull, geodesic, path_tree
 
 
 @dataclass(frozen=True)
@@ -58,15 +57,6 @@ class ProductComplex:
         if not 0 <= vid < self.vertex_count:
             raise ValueError(f"{vid} is not a product vertex id")
         return divmod(vid, self.factor2.vertex_count)
-
-
-def is_flatmate(p: ProductComplex, tup: Sequence[int]) -> bool:
-    """True when both coordinate projections of the tuple are aligned; the
-    reference test, which the enumerator does not call."""
-    pairs = [p.decode(v) for v in tup]
-    return is_aligned(p.factor1, [a for a, _ in pairs]) and is_aligned(
-        p.factor2, [b for _, b in pairs]
-    )
 
 
 def _flatmate_levels(
@@ -151,12 +141,10 @@ def _flatmate_levels(
     yield level
 
 
-def flatmate_tuples(
-    p: ProductComplex, size: int, *, vertices: Iterable[int] | None = None
-) -> list[tuple[int, ...]]:
+def flatmate_tuples(p: ProductComplex, size: int) -> list[tuple[int, ...]]:
     """All canonical flatmate tuples with `size` entries, sorted; the last
-    level of `_flatmate_levels`, whose restriction it takes."""
-    for level in _flatmate_levels(p, size, vertices):
+    level of `_flatmate_levels`."""
+    for level in _flatmate_levels(p, size):
         pass
     return level
 
@@ -171,14 +159,9 @@ def flatmate_exactness(
     )
 
 
-def flatmate_boundary_problem(p: ProductComplex, degree: int) -> BoundaryProblem:
-    """Boundary data rows=flatmate (degree+1)-tuples, columns one up."""
-    *_, rows, columns = _flatmate_levels(p, degree + 2)
-    return BoundaryProblem(degree, tuple(rows), tuple(columns))
-
-
 def aligned_boundary_problem(t: Tree, degree: int) -> BoundaryProblem:
-    """Same boundary data over a single tree's aligned tuples."""
+    """Boundary data over a single tree: rows are the aligned
+    (degree+1)-tuples, columns the aligned tuples one up."""
     return BoundaryProblem(
         degree,
         tuple(aligned_tuples(t, degree + 1)),

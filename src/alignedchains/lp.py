@@ -280,6 +280,7 @@ def _price_support(
 
 
 _MAX_ROUNDS = 400
+_BATCH = 50  # most priced columns one round adds
 
 
 def min_l1_preimage(
@@ -288,7 +289,6 @@ def min_l1_preimage(
     *,
     warm_columns: Iterable[tuple[int, ...]] | None = None,
     lp_basis_cap: int = DEFAULT_LP_BASIS_CAP,
-    batch: int = 50,
 ) -> PreimageResult:
     """Exact minimal-l1 filling of the cycle z by one-degree-up chains.
 
@@ -377,7 +377,7 @@ def min_l1_preimage(
         if not priced:
             break
         priced.sort(key=lambda pair: (-pair[0], pair[1]))
-        new_columns = sorted(col for _, col in priced[:batch])
+        new_columns = sorted(col for _, col in priced[:_BATCH])
         active_set.update(new_columns)
 
     dual_q = {face: Fraction(y, d) for face, y in dual.items()}

@@ -62,10 +62,6 @@ class AlignedSignature:
     gaps: tuple[int, ...]
     sort_sign: int
 
-    @property
-    def class_key(self) -> tuple[int | None, tuple[int, ...]]:
-        return (self.type_bit, self.gaps)
-
 
 def _spine_signature(
     tup: Sequence[int],

@@ -83,16 +83,12 @@ class CaterpillarForm:
     """Shape certificate for a tuple whose projections onto one of its
     coordinate segments are pairwise distinct.
 
-    `order[m]` is the original index of the m-th point along the spine;
-    `spine_points[m]` is its projection, sitting at distance
-    `spine_positions[m]` from the near end; `hang_lengths[m]` is how far
-    the coordinate hangs off its projection.
+    `order[m]` is the original index of the m-th point along the spine,
+    read from tup_i; `spine_points[m]` is its projection.
     """
 
     order: tuple[int, ...]
     spine_points: tuple[int, ...]
-    spine_positions: tuple[int, ...]
-    hang_lengths: tuple[int, ...]
 
 
 def caterpillar_layout(
@@ -103,6 +99,11 @@ def caterpillar_layout(
     Returns None unless the projections onto that segment, the medians of
     tup_i, tup_j and each coordinate, are pairwise distinct: exactly when
     `project_tuple` keeps the pair (and tup_i, tup_j are hull leaves).
+    A coordinate's key difference d = lca(tup_i, x_k) - lca(tup_j, x_k)
+    places its median: on tup_i's side of top = lca(tup_i, tup_j) when
+    d > 0, deeper for larger d, and on tup_j's side when d < 0, deeper for
+    smaller d.  So the points run from tup_i to tup_j as d falls, and no
+    distance is read.
     """
     x = tuple(tup)
     if not (0 <= i < j <= len(x) - 1):
@@ -112,13 +113,9 @@ def caterpillar_layout(
     if len(set(diffs)) != len(x):
         return None
     top = lca[i][j]
-    points = [(top + abs(d)) % t.vertex_count for d in diffs]
-    offsets = [t.distance(x[i], p) for p in points]
-    order = tuple(sorted(range(len(x)), key=offsets.__getitem__))
-    spine_points = tuple(points[k] for k in order)
-    spine_positions = tuple(offsets[k] for k in order)
-    hang = tuple(t.distance(x[k], points[k]) for k in order)
-    return CaterpillarForm(order, spine_points, spine_positions, hang)
+    order = tuple(sorted(range(len(x)), key=diffs.__getitem__, reverse=True))
+    spine_points = tuple((top + abs(diffs[k])) % t.vertex_count for k in order)
+    return CaterpillarForm(order, spine_points)
 
 
 def end_pair_bracket_terms(

@@ -1,11 +1,11 @@
 """Finite trees with exact integer geometry.
 
-Vertices are the integers 0..n-1.  All distances, geodesics, nearest-point
-projections and convex hulls are computed combinatorially, so every result
-is exact.  Trees are immutable once built and safe to share between tasks.
-A tree builds one rooted index (`Tree.rooted`) on first use: an Euler
-tour and a sparse table of its minima give a lowest common ancestor (LCA),
-so a distance or a median of three, in O(1) (Bender and Farach-Colton,
+Vertices are the integers 0..n-1.  All distances, geodesics, medians and
+convex hulls are computed combinatorially, so every result is exact.
+Trees are immutable once built and safe to share between tasks.  A tree
+builds one rooted index (`Tree.rooted`) on first use: an Euler tour and a
+sparse table of its minima give a lowest common ancestor (LCA), so a
+distance or a median of three, in O(1) (Bender and Farach-Colton,
 "The LCA problem revisited", 2000).  Nothing else is kept; each
 `distances_from` call is one breadth-first search.  `aligned_tuples` and
 `aligned_spines` use neither: they walk a search cut at the spine length.
@@ -70,9 +70,6 @@ class Tree:
 
     def vertices(self) -> range:
         return range(len(self.adjacency))
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     @cached_property
     def rooted(self) -> RootedIndex:
@@ -278,14 +275,6 @@ def geodesic(t: Tree, u: int, v: int) -> list[int]:
     return up + down[-2::-1]
 
 
-def project_to_segment(t: Tree, w: int, u: int, v: int) -> int:
-    """Nearest point to w on the segment [u, v]: the median of w, u and v,
-    on all three of their geodesics, which is the deepest of their
-    pairwise LCAs (a tree is a median graph)."""
-    lca_key = t.rooted.lca_key
-    return max(lca_key(w, u), lca_key(w, v), lca_key(u, v)) % t.vertex_count
-
-
 def convex_hull(t: Tree, tup: Sequence[int]) -> frozenset[int]:
     """Vertex set of the subtree spanned by a tuple.
 
@@ -383,19 +372,10 @@ def aligned_spines(
                     yield tuple(sorted((u, v) + combo)), spine
 
 
-def aligned_tuples(
-    t: Tree,
-    size: int,
-    *,
-    vertices: Iterable[int] | None = None,
-    max_length: int | None = None,
-) -> list[tuple[int, ...]]:
+def aligned_tuples(t: Tree, size: int) -> list[tuple[int, ...]]:
     """All canonical (sorted, distinct) aligned tuples with `size` entries,
-    sorted: the tuples of `aligned_spines`, whose restrictions they take."""
-    return sorted(
-        tup
-        for tup, _ in aligned_spines(t, size, vertices=vertices, max_length=max_length)
-    )
+    sorted: the tuples of `aligned_spines`."""
+    return sorted(tup for tup, _ in aligned_spines(t, size))
 
 
 class PartialIsometry:
@@ -403,12 +383,6 @@ class PartialIsometry:
 
     def __init__(self, mapping: dict[int, int]):
         self.mapping = dict(mapping)
-
-    def apply(self, v: int) -> int:
-        return self.mapping[v]
-
-    def domain(self) -> set[int]:
-        return set(self.mapping)
 
     def validate(self, t: Tree) -> None:
         """Raise ValueError unless injective and distance-preserving on t."""
@@ -422,9 +396,6 @@ class PartialIsometry:
                     raise ValueError(
                         f"distance mismatch: d({a1},{a2})={d} but d({b1},{b2})={e}"
                     )
-
-    def has_even_displacement(self, t: Tree) -> bool:
-        return all(t.distance(a, b) % 2 == 0 for a, b in self.mapping.items())
 
 
 def extend_partial_isometry(

@@ -2,16 +2,20 @@
 
 They read distances from breadth-first rows of their own and walk
 segments by those rows: the projection by offsets along the segment,
-not by medians, and nothing here reads the tree's rooted LCA index.
+not by medians, and alignment by the farthest pair and betweenness.
+Nothing here reads the tree's rooted LCA index; a test in
+`test_trees.py` runs every function here with that index made to raise.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
-from alignedchains.chains import AltChain
+from alignedchains.chains import AltChain, Rational
+from alignedchains.flatmate import ProductComplex
 from alignedchains.projection import CaterpillarForm
 from alignedchains.trees import Tree
 
@@ -28,6 +32,51 @@ def bfs_row(t: Tree, source: int) -> list[int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+@cache
+def all_rows(t: Tree) -> list[list[int]]:
+    """Every vertex's distance row, computed once per tree."""
+    return [bfs_row(t, v) for v in t.vertices()]
+
+
+def is_flatmate(p: ProductComplex, tup: Sequence[int]) -> bool:
+    """True when both coordinate projections of the tuple are aligned: in
+    each factor, every coordinate lies between the farthest-apart two."""
+    n2 = p.factor2.vertex_count
+    factors = ((p.factor1, {v // n2 for v in tup}), (p.factor2, {v % n2 for v in tup}))
+    for t, points in factors:
+        if len(points) > 2:
+            rows = all_rows(t)
+            a, b = max(combinations(points, 2), key=lambda e: rows[e[0]][e[1]])
+            if any(rows[a][w] + rows[w][b] != rows[a][b] for w in points):
+                return False
+    return True
+
+
+def has_even_displacement(t: Tree, mapping: dict[int, int]) -> bool:
+    """True when every vertex moves an even distance: in a tree that is
+    when it keeps the parity of its distance from vertex 0."""
+    depth = bfs_row(t, 0)
+    return all((depth[a] - depth[b]) % 2 == 0 for a, b in mapping.items())
+
+
+def face(chain: AltChain, j: int) -> AltChain:
+    """Drop the j-th coordinate of every canonical term."""
+    out: dict[tuple[int, ...], Rational] = {}
+    for key, coeff in chain.terms.items():
+        dropped = key[:j] + key[j + 1 :]
+        out[dropped] = out.get(dropped, 0) + coeff
+    return AltChain(chain.degree - 1, {key: c for key, c in out.items() if c})
+
+
+def map_vertices(chain: AltChain, func: Callable[[int], int]) -> AltChain:
+    """Push a chain through a vertex map; a term whose images repeat is zero."""
+    if not chain.terms:
+        return AltChain.zero(chain.degree)
+    return AltChain.from_tuples(
+        (tuple(map(func, key)), coeff) for key, coeff in chain.terms.items()
+    )
 
 
 def bfs_geodesic(t: Tree, u: int, v: int, row_v: Sequence[int] | None = None) -> list[int]:
@@ -95,7 +144,4 @@ def caterpillar_layout(
         return None
     seg = bfs_geodesic(t, u, v, dv)
     order = tuple(sorted(range(len(x)), key=offsets.__getitem__))
-    spine_points = tuple(seg[offsets[k]] for k in order)
-    spine_positions = tuple(offsets[k] for k in order)
-    hang = tuple(bfs_row(t, x[k])[seg[offsets[k]]] for k in order)
-    return CaterpillarForm(order, spine_points, spine_positions, hang)
+    return CaterpillarForm(order, tuple(seg[offsets[k]] for k in order))

@@ -45,6 +45,7 @@ from alignedchains.trees import (
     random_tree,
     regular_ball,
 )
+from reference import map_vertices
 from small_trees import nonisomorphic_trees
 
 TRIPOD = build_tree([(0, 1), (0, 2), (0, 3)])
@@ -94,8 +95,8 @@ def test_criterion_2_projection_image():
             assert project_to_aligned(tree, image) == image
             assert all(is_aligned(tree, key) for key in image.terms)
             if integral:
-                assert chain.is_integral()
-                assert image.is_integral()
+                for c in (*chain.terms.values(), *image.terms.values()):
+                    assert c.denominator == 1
             checked += 1
     assert checked >= 200
 
@@ -177,10 +178,10 @@ def test_criterion_6_naturality():
         for size in range(2, len(domain) + 1):
             for tup in combinations(domain, size):
                 chain = AltChain.basis(tup)
-                moved = chain.map_vertices(iso.apply)
-                assert project_to_aligned(tree, moved) == project_to_aligned(
-                    tree, chain
-                ).map_vertices(iso.apply)
+                moved = map_vertices(chain, iso.mapping.__getitem__)
+                assert project_to_aligned(tree, moved) == map_vertices(
+                    project_to_aligned(tree, chain), iso.mapping.__getitem__
+                )
 
 
 @pytest.mark.criterion(7, "signature classes are exactly the witnessed orbits")
@@ -209,8 +210,8 @@ def test_criterion_7_orbit_correspondence():
             assert census.class_count == witnessed
             buckets: dict[tuple, list[tuple[int, ...]]] = {}
             for tup in tuples:
-                key = aligned_signature(tree, tup, type_preserving).class_key
-                buckets.setdefault(key, []).append(tup)
+                sig = aligned_signature(tree, tup, type_preserving)
+                buckets.setdefault((sig.type_bit, sig.gaps), []).append(tup)
             assert len(buckets) == census.class_count
             for members in buckets.values():
                 for x, y in combinations(members, 2):

@@ -232,6 +232,11 @@ def test_config_errors_exit_two(workdir, capsys):
         # path(2)^2 has no window of degree + 2 = 5 vertices to sample from
         ["flatmate-probe", "--path-family", "2", "3", "--degree", "3",
          "--samples", "3", "--seed", "s"],
+        # path(3)^2 has 9 vertices, over the vertex cap
+        ["flatmate-probe", "--path-family", "2", "3", "--samples", "2",
+         "--seed", "s", "--vertex-cap", "4"],
+        ["flatmate-probe", "--path-family", "2", "3", "--samples", "2",
+         "--seed", "s", "--lp-basis-cap", "1"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

@@ -20,7 +20,6 @@ from alignedchains.flatmate import (
     ProductComplex,
     flatmate_exactness,
     flatmate_tuples,
-    is_flatmate,
 )
 from alignedchains.limits import CapExceeded
 from alignedchains.trees import (
@@ -31,6 +30,7 @@ from alignedchains.trees import (
     random_tree,
     regular_ball,
 )
+from reference import is_flatmate
 from small_trees import nonisomorphic_trees
 
 

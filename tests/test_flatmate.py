@@ -11,19 +11,18 @@ from alignedchains.chains import AltChain
 from alignedchains.flatmate import (
     HomotopyNormReport,
     ProductComplex,
+    _flatmate_levels,
     aligned_boundary_problem,
     flag_growth,
-    flatmate_boundary_problem,
     flatmate_exactness,
     flatmate_tuples,
     homotopy_norm_probe,
     hull_problem,
-    is_flatmate,
     path_product_family,
     sample_window_cycles,
 )
 from alignedchains.limits import CapExceeded
-from alignedchains.lp import min_l1_preimage
+from alignedchains.lp import BoundaryProblem, min_l1_preimage
 from alignedchains.trees import (
     aligned_tuples,
     build_tree,
@@ -32,6 +31,7 @@ from alignedchains.trees import (
     random_tree,
     regular_ball,
 )
+from reference import is_flatmate
 
 TRIPOD = build_tree([(0, 1), (0, 2), (0, 3)])
 
@@ -47,9 +47,11 @@ FILTERED_PRODUCTS = [
 BRUTE_LIMIT = 40_000
 
 
-def hull_windows(p: ProductComplex, count: int, seed: str) -> list[list[int]]:
-    """Sorted hull products around window cycles and their pairwise sums;
-    the sums can span branch points, where the flatmate filter acts."""
+def hull_windows(
+    p: ProductComplex, count: int, seed: str
+) -> list[tuple[AltChain, list[int]]]:
+    """Window cycles and their pairwise sums, each with its sorted hull
+    product; the sums can span branch points, where the flatmate filter acts."""
     rng = random.Random(seed)
     cycles = [z for z, _ in sample_window_cycles(p, 1, count, rng)]
     cycles += [a + b for a, b in combinations(cycles, 2)]
@@ -60,7 +62,7 @@ def hull_windows(p: ProductComplex, count: int, seed: str) -> list[list[int]]:
         coords = [p.decode(v) for key in z.terms for v in key]
         h1 = convex_hull(p.factor1, [a for a, _ in coords])
         h2 = convex_hull(p.factor2, [b for _, b in coords])
-        windows.append(sorted(p.encode(a, b) for a in h1 for b in h2))
+        windows.append((z, sorted(p.encode(a, b) for a in h1 for b in h2)))
     return windows
 
 
@@ -124,23 +126,14 @@ def test_flatmate_tuples_over_hull_windows_match_brute_force():
     # summed window cycles have hulls that span the tripod, where the
     # flatmate filter drops tuples
     p = ProductComplex(TRIPOD, path_tree(3))
-    rng = random.Random("hull-resume")
-    cycles = [z for z, _ in sample_window_cycles(p, 1, 5, rng)]
-    cycles += [a + b for a, b in combinations(cycles, 2)]
     dropped = 0
-    for z in cycles:
-        if z.is_zero():
-            continue
-        coords = [p.decode(v) for key in z.terms for v in key]
-        h1 = convex_hull(p.factor1, [a for a, _ in coords])
-        h2 = convex_hull(p.factor2, [b for _, b in coords])
-        window = sorted(p.encode(a, b) for a in h1 for b in h2)
+    for z, window in hull_windows(p, 5, "hull-resume"):
         brute = {
             size: [tup for tup in combinations(window, size) if is_flatmate(p, tup)]
             for size in (1, 2, 3, 4)
         }
         for size, expected in brute.items():
-            assert flatmate_tuples(p, size, vertices=window[::-1]) == expected
+            assert [*_flatmate_levels(p, size, window[::-1])][-1] == expected
             dropped += len(expected) < math.comb(len(window), size)
         problem = hull_problem(p, 1, z)
         assert problem.rows == tuple(brute[2])
@@ -152,7 +145,7 @@ def test_flatmate_tuples_over_hull_windows_match_brute_force():
 def test_flatmate_tuples_match_brute_force_where_the_filter_drops(p):
     # every subset tested by is_flatmate, on the whole product and on hull
     # windows, wherever there are few enough candidates
-    windows = [list(p.vertices())] + hull_windows(p, 4, "brute:0")
+    windows = [list(p.vertices())] + [w for _, w in hull_windows(p, 4, "brute:0")]
     dropped = 0
     largest = 0
     for window in windows:
@@ -162,7 +155,7 @@ def test_flatmate_tuples_match_brute_force_where_the_filter_drops(p):
             expected = [
                 tup for tup in combinations(window, size) if is_flatmate(p, tup)
             ]
-            assert flatmate_tuples(p, size, vertices=window) == expected
+            assert [*_flatmate_levels(p, size, window)][-1] == expected
             dropped += len(expected) < math.comb(len(window), size)
             largest = max(largest, size)
     assert dropped > 0
@@ -212,7 +205,9 @@ def test_hull_problem_matches_global_minimum():
     filtered = 0
     for idx, p in enumerate(cases):
         rng = random.Random(f"hull-check:{idx}")
-        global_problem = flatmate_boundary_problem(p, 1)
+        global_problem = BoundaryProblem(
+            1, tuple(flatmate_tuples(p, 2)), tuple(flatmate_tuples(p, 3))
+        )
         samples = sample_window_cycles(p, 1, 8, rng)
         for z, witness in samples:
             local = min_l1_preimage(hull_problem(p, 1, z), z, warm_columns=witness)

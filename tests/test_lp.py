@@ -159,19 +159,20 @@ def test_warm_start_agrees_with_cold():
         assert cold.norm == warm.norm
 
 
-def test_resumed_rounds_match_default():
+def test_resumed_rounds_match_default(monkeypatch):
     # warm_columns=[] starts infeasible, so each round resumes phase 1 after
-    # Farkas pricing and appends the rows its one new column touches;
-    # batch=1 from the default seed resumes phase 2 from the last optimum
+    # Farkas pricing and appends the rows its one new column touches; a
+    # batch of 1 from the default seed resumes phase 2 from the last optimum
     cases = tripod_hull_cases()
+    defaults = [min_l1_preimage(problem, z) for problem, z in cases]
+    monkeypatch.setattr("alignedchains.lp._BATCH", 1)
     filtered = 0
     rounds = []
-    for problem, z in cases:
+    for (problem, z), default in zip(cases, defaults):
         vertices = {v for row in problem.rows for v in row}
         filtered += len(problem.columns) < math.comb(len(vertices), 3)
-        default = min_l1_preimage(problem, z)
-        from_farkas = min_l1_preimage(problem, z, warm_columns=[], batch=1)
-        one_by_one = min_l1_preimage(problem, z, batch=1)
+        from_farkas = min_l1_preimage(problem, z, warm_columns=[])
+        one_by_one = min_l1_preimage(problem, z)
         assert default.ok and from_farkas.ok and one_by_one.ok
         assert from_farkas.norm == default.norm == one_by_one.norm
         rounds.append(from_farkas.rounds)

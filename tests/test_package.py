@@ -7,6 +7,7 @@ from pathlib import Path
 from textwrap import dedent
 
 import alignedchains
+from alignedchains.cli import build_parser
 from alignedchains.limits import DEFAULT_DIM_CAP, DEFAULT_LP_BASIS_CAP, DEFAULT_VERTEX_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,58 +120,56 @@ def test_every_subcommand_runs_without_networkx(tmp_path):
     assert [argv[0] for argv in argvs] == COMMANDS
 
 
+# The caps each subcommand honours, and so offers: 10 settable values.
+OFFERED_CAPS = {
+    "verify-exactness": ["--vertex-cap", "--dim-cap"],
+    "verify-chainmap": ["--vertex-cap"],
+    "verify-pate": ["--vertex-cap"],
+    "norm-phi": ["--vertex-cap"],
+    "orbit-report": ["--vertex-cap", "--dim-cap"],
+    "flatmate-probe": ["--vertex-cap", "--dim-cap", "--lp-basis-cap"],
+}
+
+
 def test_subcommands_share_their_common_flags():
-    shared = [
-        "--seed", "s", "--out", "r.csv", "--format", "csv",
-        "--vertex-cap", "7", "--dim-cap", "8", "--lp-basis-cap", "9",
-    ]
+    parser = build_parser()
+
+    def parse(argv):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+    shared = ["--seed", "s", "--out", "r.csv", "--format", "csv"]
     tree = ["--tree-file", "t.txt", "--regular", "3", "--radius", "2", "--random", "5"]
-    parsed, status = run_child(
-        dedent(
-            """
-            import json, sys
-            from alignedchains.cli import build_parser
-            shared, tree, commands = map(json.loads, sys.argv[1:])
-            parser = build_parser()
-            parsed = {}
-            for command in commands:
-                if command == "flatmate-probe":
-                    base = [command, "--path-family", "2", "3"]
-                    argvs = [base, base + shared]
-                else:
-                    argvs = [[command], [command, *shared], [command, *tree]]
-                parsed[command] = [vars(parser.parse_args(argv)) for argv in argvs]
-            try:
-                parser.parse_args(["flatmate-probe", "--path-family", "2", "3", "--regular", "3"])
-                status = 0
-            except SystemExit as exc:
-                status = exc.code
-            print(json.dumps([parsed, status]))
-            """
-        ),
-        json.dumps(shared),
-        json.dumps(tree),
-        json.dumps(COMMANDS),
-    )
-    defaults = {
-        "seed": None, "out": None, "format": "json", "vertex_cap": DEFAULT_VERTEX_CAP,
-        "dim_cap": DEFAULT_DIM_CAP, "lp_basis_cap": DEFAULT_LP_BASIS_CAP,
+    caps = {
+        "--vertex-cap": DEFAULT_VERTEX_CAP,
+        "--dim-cap": DEFAULT_DIM_CAP,
+        "--lp-basis-cap": DEFAULT_LP_BASIS_CAP,
     }
-    given = {
-        "seed": "s", "out": "r.csv", "format": "csv",
-        "vertex_cap": 7, "dim_cap": 8, "lp_basis_cap": 9,
-    }
+    defaults = {"seed": None, "out": None, "format": "json"}
+    given = {"seed": "s", "out": "r.csv", "format": "csv"}
     tree_values = {"tree_file": "t.txt", "regular": 3, "radius": 2, "random_n": 5}
-    assert list(parsed) == COMMANDS
-    for command, (plain, with_shared, *with_tree) in parsed.items():
+    assert list(OFFERED_CAPS) == COMMANDS
+    assert sum(map(len, OFFERED_CAPS.values())) == 10
+    for command, offered in OFFERED_CAPS.items():
+        base = [command]
+        if command == "flatmate-probe":
+            base += ["--path-family", "2", "3"]
+        plain, with_shared, with_tree = (parse(base + extra) for extra in ([], shared, tree))
         assert {k: plain[k] for k in defaults} == defaults, command
         assert {k: with_shared[k] for k in given} == given, command
+        for flag, default in caps.items():
+            dest, with_cap = flag[2:].replace("-", "_"), parse(base + [flag, "7"])
+            if flag in offered:
+                assert (plain[dest], with_cap[dest]) == (default, 7), (command, flag)
+            else:  # a cap the subcommand would not honour is refused
+                assert dest not in plain and with_cap == 2, (command, flag)
         if command == "flatmate-probe":
-            assert not with_tree and not tree_values.keys() & plain.keys()
+            assert with_tree == 2 and not tree_values.keys() & plain.keys()
         else:
             assert {k: plain[k] for k in tree_values} == dict.fromkeys(tree_values)
-            assert {k: with_tree[0][k] for k in tree_values} == tree_values, command
-    assert status == 2
+            assert {k: with_tree[k] for k in tree_values} == tree_values, command
 
 
 CLI_SEQUENCE = dedent(

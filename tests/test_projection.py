@@ -10,6 +10,7 @@ import alignedchains.projection as projection
 import alignedchains.trees as trees
 from alignedchains.chains import AltChain
 from alignedchains.projection import (
+    CaterpillarForm,
     bracket_from_layout,
     caterpillar_layout,
     end_pair_bracket,
@@ -23,7 +24,6 @@ from alignedchains.trees import (
     build_tree,
     is_aligned,
     path_tree,
-    project_to_segment,
     random_tree,
     regular_ball,
 )
@@ -65,8 +65,8 @@ def test_projection_idempotent_and_integral():
         tup = tuple(sorted(rng.sample(range(20), 4)))
         image = project_tuple(t, tup)
         assert project_to_aligned(t, image) == image
-        assert image.is_integral()
-        assert all(is_aligned(t, key) for key in image.support())
+        assert all(c.denominator == 1 for c in image.terms.values())
+        assert all(is_aligned(t, key) for key in image.terms)
 
 
 def test_chain_map_report():
@@ -123,17 +123,14 @@ def test_bracket_identities_report():
 def test_caterpillar_layout_aligned_extremes():
     p = path_tree(7)
     layout = caterpillar_layout(p, (1, 3, 5), 0, 2)
-    assert layout is not None
-    assert layout.hang_lengths == (0, 0, 0)
-    assert layout.spine_positions == (0, 2, 4)
+    assert layout == CaterpillarForm((0, 1, 2), (1, 3, 5))
 
 
 def test_caterpillar_layout_cases():
     t = tripod()
-    # the far leaf hangs off the center, one step from the spine
+    # the far leaf hangs off the center, so it projects to the center
     layout = caterpillar_layout(t, (1, 2, 3), 0, 1)
-    assert layout is not None
-    assert layout.hang_lengths == (0, 1, 0)
+    assert layout == CaterpillarForm((0, 2, 1), (1, 0, 2))
     # a non-leaf coordinate projects onto another, killing the layout
     assert caterpillar_layout(t, (0, 1, 2), 0, 1) is None
     # two hanging leaves collide on the same spine point
@@ -164,7 +161,7 @@ def test_naturality_under_reflection():
     g = {v: 8 - v for v in range(9)}
     for tup in [(0, 3, 7), (1, 2, 5, 8), (0, 1, 4, 6, 8)]:
         lhs = project_tuple(p, tuple(g[v] for v in tup))
-        rhs = project_tuple(p, tup).map_vertices(g.__getitem__)
+        rhs = reference.map_vertices(project_tuple(p, tup), g.__getitem__)
         assert lhs == rhs
 
 
@@ -173,15 +170,14 @@ def test_projection_walks_no_geodesic_and_reads_no_row(monkeypatch, row_reads):
     # no segment is walked, not even for the pairs with distinct offsets
     t = regular_ball(3, 6)
     x = (55, 77, 91, 103, 122, 149)
-    live = [
-        (i, j)
+    rows = {w: reference.bfs_row(t, w) for w in x}
+    medians = {
+        (i, j): tuple(reference.bfs_median(rows, w, x[i], x[j]) for w in x)
         for i, j in combinations(range(len(x)), 2)
-        if len({project_to_segment(t, w, x[i], x[j]) for w in x}) == len(x)
-    ]
+    }
+    live = [pair for pair, points in medians.items() if len(set(points)) == len(x)]
     assert 0 < len(live) < 15
-    expected = AltChain.from_tuples(
-        (tuple(project_to_segment(t, w, x[i], x[j]) for w in x), 1) for i, j in live
-    )
+    expected = AltChain.from_tuples((medians[pair], 1) for pair in live)
     walked = []
     real = trees.geodesic
 

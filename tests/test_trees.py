@@ -1,3 +1,4 @@
+import inspect
 import random
 from itertools import combinations, product
 
@@ -5,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+from alignedchains.chains import AltChain
+from alignedchains.flatmate import ProductComplex
 from alignedchains.trees import (
     PartialIsometry,
     Tree,
@@ -18,12 +22,11 @@ from alignedchains.trees import (
     is_aligned,
     parse_edge_list,
     path_tree,
-    project_to_segment,
     random_tree,
     regular_ball,
     tree_from_pruefer,
 )
-from reference import bfs_geodesic, bfs_median, bfs_row
+from reference import bfs_geodesic, bfs_median, bfs_row, has_even_displacement
 from small_trees import nonisomorphic_trees
 
 
@@ -72,7 +75,7 @@ def test_path_tree_shape():
     t = path_tree(5)
     assert t.vertex_count == 5
     assert t.distance(0, 4) == 4
-    assert t.degree(0) == 1 and t.degree(2) == 2
+    assert len(t.adjacency[0]) == 1 and len(t.adjacency[2]) == 2
     with pytest.raises(ValueError):
         path_tree(0)
 
@@ -81,8 +84,8 @@ def test_regular_ball_counts():
     # 1 + 3 + 6 + 12 vertices at radius 3.
     t = regular_ball(3, 3)
     assert t.vertex_count == 22
-    assert t.degree(0) == 3
-    leaves = [v for v in t.vertices() if t.degree(v) == 1]
+    assert len(t.adjacency[0]) == 3
+    leaves = [v for v in t.vertices() if len(t.adjacency[v]) == 1]
     assert all(t.distance(0, v) == 3 for v in leaves)
     assert len(leaves) == 12
 
@@ -99,7 +102,7 @@ def test_regular_ball_cap():
 def test_random_tree_is_tree(n, seed):
     t = random_tree(n, seed)
     assert t.vertex_count == n
-    assert sum(t.degree(v) for v in t.vertices()) == 2 * (n - 1)
+    assert sum(map(len, t.adjacency)) == 2 * (n - 1)
     assert all(d >= 0 for d in t.distances_from(0))
 
 
@@ -124,6 +127,12 @@ def test_geodesic_matches_distance(n, seed):
         assert all(t.distance(a, b) == 1 for a, b in zip(path, path[1:]))
 
 
+def median(t, a, b, c):
+    """The deepest of the three pairwise LCAs, read off the rooted index."""
+    lca_key = t.rooted.lca_key
+    return max(lca_key(a, b), lca_key(a, c), lca_key(b, c)) % t.vertex_count
+
+
 def assert_index_matches_bfs(t, pairs, triples):
     """distance, geodesic and the median against breadth-first rows."""
     rows = {}
@@ -139,8 +148,8 @@ def assert_index_matches_bfs(t, pairs, triples):
     for a, b, c in triples:
         for v in (a, b, c):
             row(v)
-        # the nearest point of [b, c] to a is the median of the three
-        assert project_to_segment(t, a, b, c) == bfs_median(rows, a, b, c)
+        # the deepest pairwise LCA is the median of the three
+        assert median(t, a, b, c) == bfs_median(rows, a, b, c)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -173,13 +182,34 @@ def test_rooted_index_is_lazy_and_not_a_field():
     assert t.rooted.depth == t.distances_from(0)
 
 
-def test_project_to_segment_cases():
-    t = tripod()
-    assert project_to_segment(t, 3, 1, 2) == 0
-    assert project_to_segment(t, 1, 1, 2) == 1
-    p = path_tree(6)
-    assert project_to_segment(p, 5, 0, 3) == 3
-    assert project_to_segment(p, 2, 0, 5) == 2
+def test_no_oracle_reads_the_rooted_index(monkeypatch):
+    # every function of the reference module runs with the index made to raise
+    t = build_tree([(0, 1), (1, 2), (1, 3), (3, 4)])
+    chain = AltChain.from_tuples([((0, 2, 4), 1), ((1, 3, 4), -2)])
+    calls = {
+        "bfs_row": (t, 4),
+        "all_rows": (t,),
+        "is_flatmate": (ProductComplex(t, path_tree(3)), (0, 5, 13)),
+        "has_even_displacement": (t, {0: 2, 3: 1}),
+        "face": (chain, 1),
+        "map_vertices": (chain, lambda v: 4 - v),
+        "bfs_geodesic": (t, 0, 4),
+        "bfs_median": ({v: bfs_row(t, v) for v in (0, 2, 4)}, 0, 2, 4),
+        "project_tuple": (t, (0, 2, 4, 3)),
+        "caterpillar_layout": (t, (0, 2, 4), 0, 1),
+    }
+    oracles = inspect.getmembers(reference, callable)
+    assert calls.keys() == {name for name, f in oracles if f.__module__ == "reference"}
+
+    def refuse(tree):
+        raise AssertionError("the rooted index was read")
+
+    monkeypatch.setattr(Tree, "rooted", property(refuse))
+    with pytest.raises(AssertionError, match="rooted index"):
+        t.distance(0, 4)
+    reference.all_rows.cache_clear()  # so every row is computed under the patch
+    for name, args in calls.items():
+        getattr(reference, name)(*args)
 
 
 def test_convex_hull_tripod():
@@ -211,9 +241,9 @@ def test_segment_offsets_meet_the_geodesic():
     for u, v in ((0, 14), (3, 9), (5, 5)):
         seg = geodesic(t, u, v)
         for w in t.vertices():
-            # the meet point is the segment point nearest to w, by brute force
+            # the median is the segment point nearest to w, by brute force
             dw = t.distances_from(w)
-            assert project_to_segment(t, w, u, v) == min(seg, key=dw.__getitem__)
+            assert median(t, w, u, v) == min(seg, key=dw.__getitem__)
 
 
 def test_diametral_pair():
@@ -272,20 +302,23 @@ def test_aligned_tuples_restricted_match_brute_force(t, root):
     for region in regions:
         for cap in (1, 2, 3, t.vertex_count):
             for size in (1, 2, 3, 4):
-                got = aligned_tuples(t, size, vertices=region, max_length=cap)
-                assert got == brute_aligned(t, size, region, cap)
+                spines = aligned_spines(t, size, vertices=region, max_length=cap)
+                assert sorted(tup for tup, _ in spines) == brute_aligned(t, size, region, cap)
     unrestricted = aligned_tuples(t, 3)
-    assert aligned_tuples(t, 3, vertices=reversed(t.vertices())) == unrestricted
-    assert aligned_tuples(t, 3, max_length=t.vertex_count) == unrestricted
+    for kwargs in ({"vertices": reversed(t.vertices())}, {"max_length": t.vertex_count}):
+        assert sorted(tup for tup, _ in aligned_spines(t, 3, **kwargs)) == unrestricted
 
 
 @pytest.mark.parametrize("t", [regular_ball(3, 3), random_tree(30, "spines")])
 def test_aligned_spines_are_extremal_geodesics(t):
     region = [v for v in t.vertices() if v % 3]
     for size in (1, 2, 3):
-        for kwargs in ({}, {"vertices": region, "max_length": 3}):
+        for kwargs, expected in (
+            ({}, aligned_tuples(t, size)),
+            ({"vertices": region, "max_length": 3}, brute_aligned(t, size, region, 3)),
+        ):
             pairs = list(aligned_spines(t, size, **kwargs))
-            assert sorted(tup for tup, _ in pairs) == aligned_tuples(t, size, **kwargs)
+            assert sorted(tup for tup, _ in pairs) == expected
             for tup, spine in pairs:
                 assert list(spine) == geodesic(t, *diametral_pair(t, tup))
 
@@ -301,10 +334,8 @@ def test_partial_isometry_validate():
 
 def test_partial_isometry_displacement():
     p = path_tree(6)
-    shift = PartialIsometry({0: 2, 1: 3})
-    assert shift.has_even_displacement(p)
-    odd = PartialIsometry({0: 1})
-    assert not odd.has_even_displacement(p)
+    assert has_even_displacement(p, {0: 2, 1: 3})
+    assert not has_even_displacement(p, {0: 1})
 
 
 def test_extend_partial_isometry_shift():
@@ -312,7 +343,7 @@ def test_extend_partial_isometry_shift():
     p = path_tree(8)
     ext = extend_partial_isometry(p, {0: 2, 1: 3}, targets=[4])
     assert ext is not None
-    assert ext.apply(4) == 6
+    assert ext.mapping[4] == 6
     ext.validate(p)
 
 
@@ -322,7 +353,7 @@ def test_extend_partial_isometry_free_seed():
     p = path_tree(8)
     ext = extend_partial_isometry(p, {3: 3}, targets=[0, 6])
     assert ext is not None
-    assert {0, 6} <= ext.domain()
+    assert {0, 6} <= ext.mapping.keys()
     ext.validate(p)
 
 
@@ -336,5 +367,5 @@ def test_extend_partial_isometry_reversal():
     p = path_tree(7)
     ext = extend_partial_isometry(p, {1: 5, 5: 1}, targets=[0, 6])
     assert ext is not None
-    assert ext.apply(0) == 6 and ext.apply(6) == 0
+    assert ext.mapping[0] == 6 and ext.mapping[6] == 0
     ext.validate(p)
