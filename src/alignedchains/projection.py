@@ -9,19 +9,20 @@ the end-pair bracket below.
 
 In a tree the point of [x_i, x_j] nearest x_k is the median of the three,
 read off the rooted index (`Tree.rooted`); no distance row is read and no
-geodesic is built.
+geodesic is built.  The sampled checks build one LCA matrix per sampled
+tuple: each face is projected from its submatrix and each reordering from
+the permuted matrix, and the norm scan counts in integers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from fractions import Fraction
-from itertools import combinations
-from operator import sub
+from itertools import combinations, starmap
+from operator import gt, sub
 from typing import Sequence
 
-from .chains import AltChain, Rational, canonicalize_tuple
+from .chains import AltChain, Rational, signed_faces
 from .trees import Tree
 
 
@@ -32,33 +33,33 @@ def project_tuple(t: Tree, tup: Sequence[int]) -> AltChain:
     pairwise LCAs, read once; a pair whose n + 1 medians repeat projects
     to a tuple with a repeated entry, which is zero, and is skipped.
     """
-    return _projection(t, tuple(tup))[0]
+    return _projection(t, tuple(tup), t.rooted.lca_keys(tup))[0]
 
 
-def _projection(t: Tree, x: tuple[int, ...]) -> tuple[AltChain, bool]:
-    """`project_tuple`'s chain, and whether some coordinate pair had
-    pairwise distinct medians (the caterpillar case)."""
+def _projection(t: Tree, x: tuple[int, ...], lca: list[list[int]]) -> tuple[AltChain, bool]:
+    """`project_tuple`'s chain read off `lca`, the LCA-key matrix of `x`, and
+    whether some pair had pairwise distinct medians (the caterpillar case)."""
     n = len(x) - 1
     if n < 0:
         raise ValueError("empty tuple has no degree")
     if n == 0:
         return AltChain.basis(x), False
     size = t.vertex_count
-    lca = t.rooted.lca_keys(x)
     # Two of lca(x_i, x_k), lca(x_j, x_k) and top = lca(x_i, x_j) agree; the
     # median is the third, so its key is top + |d| for d the first two's
-    # difference, whose sign tells x_i's side from x_j's: medians repeat
-    # exactly when differences do.
+    # difference, whose sign tells x_i's side from x_j's: medians repeat exactly
+    # when differences do, and a kept pair's sign is its medians' inversion parity.
     terms: dict[tuple[int, ...], int] = {}
     kept = False
     for i, j in combinations(range(n + 1), 2):
-        li, lj = lca[i], lca[j]
-        if len(set(map(sub, li, lj))) <= n:
+        diffs = list(map(sub, lca[i], lca[j]))
+        if len(set(diffs)) <= n:
             continue
         kept = True
-        top = li[j]
-        points = tuple((top + abs(a - b)) % size for a, b in zip(li, lj))
-        key, sign = canonicalize_tuple(points)
+        top = lca[i][j]
+        points = [(top + abs(d)) % size for d in diffs]
+        key = tuple(sorted(points))
+        sign = -1 if sum(starmap(gt, combinations(points, 2))) % 2 else 1
         terms[key] = terms.get(key, 0) + sign
     return AltChain(n, {key: c for key, c in terms.items() if c}), kept
 
@@ -108,7 +109,13 @@ def caterpillar_layout(
     x = tuple(tup)
     if not (0 <= i < j <= len(x) - 1):
         raise ValueError("need 0 <= i < j within the tuple")
-    lca = t.rooted.lca_keys(x)
+    return _layout(t, x, i, j, t.rooted.lca_keys(x))
+
+
+def _layout(
+    t: Tree, x: tuple[int, ...], i: int, j: int, lca: list[list[int]]
+) -> CaterpillarForm | None:
+    """`caterpillar_layout` from `lca`, the LCA-key matrix of `x`."""
     diffs = list(map(sub, lca[i], lca[j]))
     if len(set(diffs)) != len(x):
         return None
@@ -170,7 +177,8 @@ class ChainMapReport:
 
 
 def verify_chain_map(t: Tree, degree: int, samples: int, seed: int) -> ChainMapReport:
-    """Sample basis tuples and check boundary-compatibility of the projection."""
+    """Sample basis tuples and check boundary-compatibility of the projection;
+    each tuple's LCA matrix is built once, and each face projected from its submatrix."""
     if degree < 1:
         raise ValueError("chain map check needs degree >= 1")
     if t.vertex_count < degree + 1:
@@ -181,9 +189,18 @@ def verify_chain_map(t: Tree, degree: int, samples: int, seed: int) -> ChainMapR
     ids = range(t.vertex_count)
     for _ in range(samples):
         tup = tuple(sorted(rng.sample(ids, degree + 1)))
-        c = AltChain.basis(tup)
-        lhs = project_to_aligned(t, c).boundary()
-        rhs = project_to_aligned(t, c.boundary())
+        # tuples of degree <= 1 are their own projections
+        lhs = rhs = dict(signed_faces(tup))
+        if degree > 1:
+            lca = t.rooted.lca_keys(tup)
+            lhs = _projection(t, tup, lca)[0].boundary().terms
+        if degree > 2:  # signed_faces drops the last entry first
+            out: dict[tuple[int, ...], int] = {}
+            for m, (face, sign) in zip(range(degree, -1, -1), signed_faces(tup)):
+                sub_lca = [row[:m] + row[m + 1 :] for row in lca[:m] + lca[m + 1 :]]
+                for key, c in _projection(t, face, sub_lca)[0].terms.items():
+                    out[key] = out.get(key, 0) + sign * c
+            rhs = {key: c for key, c in out.items() if c}
         if lhs != rhs:
             failures += 1
             if counterexample is None:
@@ -217,6 +234,8 @@ def verify_bracket_identities(
     """
     if max_degree < 2:
         raise ValueError("bracket identities need degree >= 2")
+    if t.vertex_count < max_degree + 1:
+        raise ValueError("tree too small for the requested degree")
     rng = random.Random(seed)
     nverts = t.vertex_count
     cocycle = face = rewrite = failures = 0
@@ -256,18 +275,19 @@ def verify_bracket_identities(
             if dropped != expected:
                 note("face", ((a, b), z, (p, q), jj))
 
-        if nverts >= n + 1:
-            sample = rng.sample(range(nverts), n + 1)
-            rng.shuffle(sample)
-            x = tuple(sample)
-            for i, j in combinations(range(n + 1), 2):
-                layout = caterpillar_layout(t, x, i, j)
-                if layout is None:
-                    continue
-                xr = tuple(x[k] for k in layout.order)
-                rewrite += 1
-                if project_tuple(t, xr) != bracket_from_layout(x, layout):
-                    note("rewrite", (x, i, j))
+        sample = rng.sample(range(nverts), n + 1)
+        rng.shuffle(sample)
+        x = tuple(sample)
+        lca = t.rooted.lca_keys(x)
+        for i, j in combinations(range(n + 1), 2):
+            layout = _layout(t, x, i, j, lca)
+            if layout is None:
+                continue
+            xr = tuple(x[k] for k in layout.order)
+            permuted = [[lca[a][b] for b in layout.order] for a in layout.order]
+            rewrite += 1
+            if _projection(t, xr, permuted)[0] != bracket_from_layout(x, layout):
+                note("rewrite", (x, i, j))
     return BracketReport(cocycle, face, rewrite, failures, counterexample)
 
 
@@ -313,14 +333,13 @@ def projection_norm_scan(t: Tree, degree: int, samples: int, seed: int) -> NormS
         raise ValueError("tree too small for the requested degree")
     rng = random.Random(seed)
     bound = (degree + 1) * (degree + 2) // 2
-    max_norm = Fraction(0)
-    std_max = Fraction(0)
+    max_norm = std_max = 0
     violations = std_violations = std_count = 0
     ids = range(t.vertex_count)
     for _ in range(samples):
         tup = tuple(sorted(rng.sample(ids, degree + 1)))
-        chain, caterpillar = _projection(t, tup)
-        norm = chain.l1_norm()
+        chain, caterpillar = _projection(t, tup, t.rooted.lca_keys(tup))
+        norm = sum(map(abs, chain.terms.values()))
         max_norm = max(max_norm, norm)
         if norm > bound:
             violations += 1
@@ -333,11 +352,11 @@ def projection_norm_scan(t: Tree, degree: int, samples: int, seed: int) -> NormS
         degree=degree,
         samples=samples,
         term_bound=bound,
-        max_norm_num=max_norm.numerator,
-        max_norm_den=max_norm.denominator,
+        max_norm_num=max_norm,
+        max_norm_den=1,
         bound_violations=violations,
         standard_count=std_count,
-        standard_max_norm_num=std_max.numerator,
-        standard_max_norm_den=std_max.denominator,
+        standard_max_norm_num=std_max,
+        standard_max_norm_den=1,
         standard_violations=std_violations,
     )

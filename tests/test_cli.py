@@ -226,6 +226,9 @@ def test_config_errors_exit_two(workdir, capsys):
         ["verify-chainmap", "--regular", "3", "--radius", "2",
          "--samples", "0", "--seed", "s"],
         ["verify-pate", "--random", "9", "--samples", "0", "--seed", "s"],
+        # four vertices hold no degree-5 tuple for the rewrite law
+        ["verify-pate", "--random", "4", "--degree", "5", "--samples", "40",
+         "--seed", "s"],
         # the census passes its tuple cap
         ["orbit-report", "--regular", "3", "--radius", "3", "--degree", "2",
          "--diameter-cap", "6", "--dim-cap", "10"],

@@ -150,9 +150,109 @@ def test_bracket_rewrite_matches_projection():
 @given(st.integers(min_value=0, max_value=2**20))
 @settings(max_examples=25, deadline=None)
 def test_chain_map_random_trees(seed):
+    # from degree 3 on the faces have degree >= 2, so each is projected from
+    # a submatrix of its tuple's LCA matrix
     t = random_tree(14, seed)
-    rep = verify_chain_map(t, 2, 30, seed=seed)
-    assert rep.passed
+    for degree in (2, 3, 4, 5):
+        assert verify_chain_map(t, degree, 30, seed=seed).passed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_face_projection_from_the_submatrix_matches_the_reference(seed):
+    t = random_tree(50, f"faces:{seed}")
+    rng = random.Random(seed)
+    ids = range(t.vertex_count)
+    for _ in range(60):
+        k = rng.randint(2, 6)
+        if rng.random() < 0.3:
+            x = tuple(rng.choice(ids) for _ in range(k))
+        else:
+            x = tuple(rng.sample(ids, k))
+        lca = t.rooted.lca_keys(x)
+        for m in range(k):
+            face = x[:m] + x[m + 1 :]
+            sub = [row[:m] + row[m + 1 :] for row in lca[:m] + lca[m + 1 :]]
+            assert projection._projection(t, face, sub)[0] == reference.project_tuple(t, face)
+
+
+def count_lca_queries(monkeypatch):
+    """Calls of `RootedIndex.lca_keys` (matrices) and `.lca_key` (single
+    pairs), counted from here on."""
+    calls = {"lca_keys": 0, "lca_key": 0}
+    for name in calls:
+        real = getattr(trees.RootedIndex, name)
+
+        def spy(index, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(index, *args)
+
+        monkeypatch.setattr(trees.RootedIndex, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_chain_map_builds_one_lca_matrix_per_sample(monkeypatch, degree):
+    t = regular_ball(3, 4)
+    t.rooted
+    calls = count_lca_queries(monkeypatch)
+    assert verify_chain_map(t, degree, 40, seed=degree).passed
+    assert calls == {"lca_keys": 40, "lca_key": 0}
+
+
+def test_bracket_identities_build_at_most_one_lca_matrix_per_sample(monkeypatch):
+    t = random_tree(40, "one-matrix")
+    t.rooted
+    calls = count_lca_queries(monkeypatch)
+    rep = verify_bracket_identities(t, 60, seed=4)
+    assert rep.passed and rep.rewrite_checks > 0
+    assert calls["lca_keys"] <= 60 and calls["lca_key"] == 0
+
+
+def test_chain_map_fails_when_face_projections_are_wrong(monkeypatch):
+    # flipping one term's sign on 4-entry tuples touches only the faces of a
+    # degree-4 check, so the right side must stop matching the left
+    t = regular_ball(3, 4)
+    assert verify_chain_map(t, 4, 50, seed=8).passed
+    real = projection._projection
+
+    def flipped(tree, x, lca):
+        chain, kept = real(tree, x, lca)
+        if len(x) == 4 and chain.terms:
+            terms = dict(chain.terms)
+            key = min(terms)
+            terms[key] = -terms[key]
+            chain = AltChain(chain.degree, terms)
+        return chain, kept
+
+    monkeypatch.setattr(projection, "_projection", flipped)
+    assert verify_chain_map(t, 4, 50, seed=8).failures > 0
+
+
+def test_bracket_identities_fail_on_a_wrong_spine(monkeypatch):
+    t = random_tree(40, "wrong-spine")
+    assert verify_bracket_identities(t, 60, seed=6).passed
+    real = projection._layout
+
+    def shifted(tree, x, i, j, lca):
+        layout = real(tree, x, i, j, lca)
+        if layout is None:
+            return None
+        points = layout.spine_points
+        middle = tuple((p + 1) % tree.vertex_count for p in points[1:-1])
+        return CaterpillarForm(layout.order, points[:1] + middle + points[-1:])
+
+    monkeypatch.setattr(projection, "_layout", shifted)
+    rep = verify_bracket_identities(t, 60, seed=6)
+    assert rep.failures > 0 and rep.counterexample.startswith("rewrite")
+
+
+def test_bracket_identities_reject_a_tree_too_small_for_the_degree():
+    # four vertices hold no 6-entry tuple, so the rewrite law could not be
+    # sampled at degree 5
+    t = build_tree([(0, 1), (1, 2), (1, 3)])
+    with pytest.raises(ValueError, match="tree too small"):
+        verify_bracket_identities(t, 40, seed=1, max_degree=5)
+    assert verify_bracket_identities(t, 40, seed=1, max_degree=3).passed
 
 
 def test_naturality_under_reflection():
