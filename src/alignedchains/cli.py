@@ -188,16 +188,10 @@ def _run_orbit_report(cfg: ExperimentConfig) -> tuple[list[dict], dict, bool]:
     rows = []
     summary: dict = {"vertices": tree.vertex_count, "degree": cfg.degree}
     ok = True
-    for type_preserving in modes:
-        census = orbit_class_census(
-            tree,
-            cfg.degree,
-            cfg.diameter_cap,
-            type_preserving=type_preserving,
-            root=cfg.root,
-            dim_cap=cfg.dim_cap,
-        )
-        label = "tp" if type_preserving else "full"
+    for census in orbit_class_census(
+        tree, cfg.degree, cfg.diameter_cap, modes, root=cfg.root, dim_cap=cfg.dim_cap
+    ):
+        label = "tp" if census.type_preserving else "full"
         for rec in census.to_records():
             rec["mode"] = label
             rows.append(rec)

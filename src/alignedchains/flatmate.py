@@ -318,6 +318,8 @@ def homotopy_norm_probe(
     around its support, where `hull_problem` shows the minimum agrees
     with the instance-wide one.  Instance randomness derives from
     (seed, index) only, so probes are reproducible and order-independent.
+    When both factors are paths, a filling norm above the cone bound 1
+    raises `AssertionError`.
     """
     if degree < 1:
         raise ValueError("probe degree must be at least 1")
@@ -334,6 +336,9 @@ def homotopy_norm_probe(
             continue
         rng = random.Random(instance_seed)
         cycles = sample_window_cycles(p, degree, samples, rng)
+        # on path x path the flatmate complex is the full simplex, so the
+        # cone from any vertex fills a unit cycle with norm at most 1
+        paths = all(len(n) <= 2 for f in (p.factor1, p.factor2) for n in f.adjacency)
         worst = Fraction(0)
         for z, witness in cycles:
             result = min_l1_preimage(
@@ -345,6 +350,11 @@ def homotopy_norm_probe(
             if not result.ok:
                 raise AssertionError(
                     "a sampled boundary failed to fill; exactness check lied"
+                )
+            if paths and result.norm > 1:
+                raise AssertionError(
+                    f"a unit cycle on path({sizes[0]}) x path({sizes[1]}) has minimal "
+                    f"filling norm {result.norm}, above the cone bound 1"
                 )
             worst = max(worst, result.norm)
         reports.append(

@@ -32,7 +32,8 @@ vertices stays in the domain; its image is a walk whose steps are edges
 and, by injectivity, never backtracks; and a walk without backtracking in
 a tree is the geodesic between its ends (Serre, *Trees*, I.2).  Every
 member of a census class is witnessed from the class representative's
-spine, so the census certifies each class's domain once and each member's
+spine.  One census walk serves both modes, so it certifies each
+representative spine's frame once across modes and each distinct map's
 images once.  `PartialIsometry.validate` checks the same maps by all
 pairwise distances and stays the general test.
 """
@@ -63,31 +64,35 @@ class AlignedSignature:
     sort_sign: int
 
 
-def _spine_signature(
-    tup: Sequence[int],
-    spine: Sequence[int],
-    depth: Sequence[int],
-    type_preserving: bool,
-) -> tuple[tuple[int | None, tuple[int, ...]], Sequence[int]]:
-    """Class key (type, gaps) of an aligned tuple with distinct entries,
-    plus its spine in canonical orientation.
+def _spine_readings(
+    tup: Sequence[int], spine: Sequence[int], depth: Sequence[int]
+) -> tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]:
+    """(type, gaps) of an aligned tuple with distinct entries, read from
+    `spine[0]` and then from the other end.
 
     `spine` is the geodesic between the tuple's extremal pair, lowest id
     first, and `depth` is any one distance row of the tree.
     """
     pos = sorted(map(spine.index, tup))
-    gaps_f = tuple(b - a for a, b in zip(pos, pos[1:]))
-    gaps_r = gaps_f[::-1]
+    gaps = tuple(b - a for a, b in zip(pos, pos[1:]))
     type_f = (depth[spine[0]] + depth[0]) % 2
-    type_r = (type_f + len(spine) - 1) % 2
+    return (type_f, gaps), ((type_f + len(spine) - 1) % 2, gaps[::-1])
+
+
+def _spine_signature(
+    readings: tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]],
+    spine: Sequence[int],
+    type_preserving: bool,
+) -> tuple[tuple[int | None, tuple[int, ...]], Sequence[int]]:
+    """Class key (type, gaps) in one mode from the two readings
+    (`_spine_readings`), plus the spine in that mode's canonical
+    orientation; the full mode drops the type."""
+    forward, reverse = readings
     if not type_preserving:
-        type_f = type_r = None
-        forward = gaps_f <= gaps_r
-    else:
-        forward = (type_f, gaps_f) <= (type_r, gaps_r)
-    if forward:
-        return (type_f, gaps_f), spine
-    return (type_r, gaps_r), spine[::-1]
+        forward, reverse = (None, forward[1]), (None, reverse[1])
+    if forward <= reverse:
+        return forward, spine
+    return reverse, spine[::-1]
 
 
 def _signature_data(
@@ -100,7 +105,9 @@ def _signature_data(
     ends = diametral_pair(t, x)
     if ends is None:
         raise ValueError("signature is defined for aligned tuples only")
-    return _spine_signature(x, geodesic(t, *ends), t.rooted.depth, type_preserving)
+    spine = geodesic(t, *ends)
+    readings = _spine_readings(x, spine, t.rooted.depth)
+    return _spine_signature(readings, spine, type_preserving)
 
 
 def aligned_signature(
@@ -310,28 +317,33 @@ def orbit_class_census(
     t: Tree,
     degree: int,
     diameter_cap: int,
-    type_preserving: bool = True,
+    modes: Sequence[bool],
     root: int = 0,
     *,
     dim_cap: int = DEFAULT_DIM_CAP,
-) -> CensusReport:
-    """Enumerate aligned tuples near the root, bucket them by signature,
-    and certify each bucket as one orbit by witnessing every member
-    against the bucket's first member.
+) -> tuple[CensusReport, ...]:
+    """Enumerate aligned tuples near the root once and, in each mode of
+    `modes` (type-preserving flags, in report order), bucket them by
+    signature and certify each bucket as one orbit by witnessing every
+    member against the bucket's first member.  Returns one report per mode.
 
     The tuples and their spines come from `aligned_spines` restricted to
     the ball of radius diameter_cap + 1 about `root`, with spine length at
     most diameter_cap, taken in sorted order so each bucket's first member
     is its lowest tuple.  More than `dim_cap` of them raise `CapExceeded`
-    before any is sorted or witnessed.  Signatures are read off those
-    spines, with types from the root's distance row.  Each bucket keeps the
-    frame of its first member's spine, whose domain half of the certificate
-    is checked once, when the bucket opens; each member then costs only its
-    images and their half of the certificate (see `orbit_witness`, which
-    takes the same path).  A broken certificate raises `CertificateError`
-    naming the mode, the degree, the class gaps and the representative and
-    member tuples.
-    The root's row is the only distance row the census reads, so its memory
+    before any is sorted or witnessed.  Each spine is read once from both
+    ends, with types from the root's distance row, and each mode takes its
+    key and orientation from those readings.  A bucket witnesses from the
+    frame of its first member's spine; frames are kept by spine across
+    modes, so each representative spine's domain half of the certificate
+    is checked once.  Each member then costs its images and their half of
+    the certificate (see `orbit_witness`, which takes the same path), except
+    that a full-mode map with the same frame and oriented spine as the
+    member's type-preserving map reuses the images (or the ball_too_small
+    verdict) built for it, whose checks include all the full mode needs.
+    A broken certificate raises `CertificateError` naming the mode, the
+    degree, the class gaps and the representative and member tuples.  The
+    root's row is the only distance row the census reads, so its memory
     scales with the ball, not with the square of the tree.
     """
     if degree < 0:
@@ -347,44 +359,60 @@ def orbit_class_census(
     if len(tuples) > dim_cap:
         raise CapExceeded(f"census tuples of degree {degree} passed the cap {dim_cap}")
     tuples.sort()
-    # key -> [frame, size, witnessed, representative]; members are
-    # witnessed as they arrive, so no member list is kept.
-    classes: dict[tuple, list] = {}
-    too_small = 0
+    frames: dict[tuple[int, ...], _SpineFrame] = {}
+    # mode -> key -> [frame, size, witnessed, representative], with the
+    # type-preserving mode first so the full mode can reuse its images;
+    # members are witnessed as they arrive, so no member list is kept.
+    classes: dict[bool, dict[tuple, list]] = {tp: {} for tp in (True, False) if tp in modes}
+    too_small = dict.fromkeys(classes, 0)
     for tup, walk in tuples:
-        key, spine = _spine_signature(tup, walk, droot, type_preserving)
-        entry = classes.get(key)
-        try:
-            if entry is None:
-                entry = classes[key] = [_spine_frame(t, spine), 0, True, tup]
-            images = _frame_images(t, entry[0], spine, type_preserving, droot)
-        except CertificateError as exc:
-            mode = "type-preserving" if type_preserving else "full"
-            rep = tup if entry is None else entry[3]
-            raise CertificateError(
-                f"{exc} (in the {mode} census of degree {degree}: class gaps "
-                f"{key[1]}, representative {rep}, member {tup})"
-            ) from exc
-        entry[1] += 1
-        if images is None:  # within one class only "ball_too_small"
-            entry[2] = False
-            too_small += 1
+        readings = _spine_readings(tup, walk, droot)
+        built = None  # (frame, spine, images) of the type-preserving witness
+        for type_preserving, buckets in classes.items():
+            key, spine = _spine_signature(readings, walk, type_preserving)
+            entry = buckets.get(key)
+            try:
+                if entry is None:
+                    frame = frames.get(spine)
+                    if frame is None:
+                        frame = frames[spine] = _spine_frame(t, spine)
+                    entry = buckets[key] = [frame, 0, True, tup]
+                if built is not None and built[0] is entry[0] and built[1] == spine:
+                    images = built[2]
+                else:
+                    images = _frame_images(t, entry[0], spine, type_preserving, droot)
+            except CertificateError as exc:
+                mode = "type-preserving" if type_preserving else "full"
+                rep = tup if entry is None else entry[3]
+                raise CertificateError(
+                    f"{exc} (in the {mode} census of degree {degree}: class gaps "
+                    f"{key[1]}, representative {rep}, member {tup})"
+                ) from exc
+            if type_preserving:
+                built = (entry[0], spine, images)
+            entry[1] += 1
+            if images is None:  # within one class only "ball_too_small"
+                entry[2] = False
+                too_small[type_preserving] += 1
 
     def bucket_order(key: tuple) -> tuple:
         type_bit, gaps = key
         return (gaps, -1 if type_bit is None else type_bit)
 
-    records = []
-    for key in sorted(classes, key=bucket_order):
-        _, count, witnessed, _ = classes[key]
-        records.append(
-            OrbitClassRecord(type_bit=key[0], gaps=key[1], size=count, witnessed=witnessed)
+    reports = {}
+    for type_preserving, buckets in classes.items():
+        records = []
+        for key in sorted(buckets, key=bucket_order):
+            _, count, witnessed, _ = buckets[key]
+            records.append(
+                OrbitClassRecord(type_bit=key[0], gaps=key[1], size=count, witnessed=witnessed)
+            )
+        reports[type_preserving] = CensusReport(
+            degree=degree,
+            diameter_cap=diameter_cap,
+            type_preserving=type_preserving,
+            total_tuples=len(tuples),
+            classes=tuple(records),
+            ball_too_small=too_small[type_preserving],
         )
-    return CensusReport(
-        degree=degree,
-        diameter_cap=diameter_cap,
-        type_preserving=type_preserving,
-        total_tuples=len(tuples),
-        classes=tuple(records),
-        ball_too_small=too_small,
-    )
+    return tuple(reports[tp] for tp in modes)

@@ -296,12 +296,10 @@ class NormScanReport:
     degree: int
     samples: int
     term_bound: int
-    max_norm_num: int
-    max_norm_den: int
+    max_norm: int
     bound_violations: int
     standard_count: int
-    standard_max_norm_num: int
-    standard_max_norm_den: int
+    standard_max_norm: int
     standard_violations: int
 
     @property
@@ -313,10 +311,10 @@ class NormScanReport:
             "degree": self.degree,
             "samples": self.samples,
             "term_bound": self.term_bound,
-            "max_norm": f"{self.max_norm_num}/{self.max_norm_den}",
+            "max_norm": f"{self.max_norm}/1",
             "bound_violations": self.bound_violations,
             "standard_count": self.standard_count,
-            "standard_max_norm": f"{self.standard_max_norm_num}/{self.standard_max_norm_den}",
+            "standard_max_norm": f"{self.standard_max_norm}/1",
             "standard_violations": self.standard_violations,
         }
 
@@ -352,11 +350,9 @@ def projection_norm_scan(t: Tree, degree: int, samples: int, seed: int) -> NormS
         degree=degree,
         samples=samples,
         term_bound=bound,
-        max_norm_num=max_norm,
-        max_norm_den=1,
+        max_norm=max_norm,
         bound_violations=violations,
         standard_count=std_count,
-        standard_max_norm_num=std_max,
-        standard_max_norm_den=1,
+        standard_max_norm=std_max,
         standard_violations=std_violations,
     )

@@ -201,9 +201,7 @@ def test_criterion_7_orbit_correspondence():
             for combo in combinations(interior, size - 2):
                 tuples.append(tuple(sorted((u, v) + combo)))
         for type_preserving in (True, False):
-            census = orbit_class_census(
-                tree, degree, cap, type_preserving=type_preserving
-            )
+            [census] = orbit_class_census(tree, degree, cap, (type_preserving,))
             assert census.total_tuples == len(tuples)
             assert census.ball_too_small == 0
             witnessed = sum(1 for c in census.classes if c.witnessed)

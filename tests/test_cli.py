@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
-from alignedchains import orbits
+from alignedchains import flatmate, orbits
 from alignedchains.cli import main
 from alignedchains.reporting import strip_volatile
 
@@ -165,6 +167,28 @@ def test_orbit_report_broken_certificate_exits_one(workdir, monkeypatch, capsys)
     assert doc["summary"]["internal_error"].endswith(
         "(in the type-preserving census of degree 1: class gaps (1,), "
         "representative (0, 1), member (0, 1))"
+    )
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_flatmate_probe_asserts_the_cone_bound_on_paths(workdir, monkeypatch, capsys):
+    # on path x path every unit cycle has a cone filling of norm at most 1,
+    # so a solver that reports norm 2 there is an internal failure
+    solve = flatmate.min_l1_preimage
+
+    def norm_two(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), norm=Fraction(2))
+
+    monkeypatch.setattr(flatmate, "min_l1_preimage", norm_two)
+    code = main(
+        ["flatmate-probe", "--path-family", "2", "3", "--samples", "2", "--seed", "s"]
+    )
+    assert code == 1
+    doc = load_report(workdir / "flatmate-probe-report.json")
+    assert doc["summary"]["passed"] is False
+    assert doc["summary"]["internal_error"] == (
+        "AssertionError: a unit cycle on path(2) x path(2) has minimal "
+        "filling norm 2, above the cone bound 1"
     )
     assert "internal error" in capsys.readouterr().err
 

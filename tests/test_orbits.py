@@ -1,9 +1,12 @@
+import ast
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from alignedchains import orbits
 from alignedchains.orbits import (
     CertificateError,
     _certified_frame,
@@ -316,10 +319,141 @@ def test_image_half_rejects_mutated_images():
 def test_census_reads_only_the_root_row(row_reads):
     t = regular_ball(3, 9)
     for type_preserving in (True, False):
-        orbit_class_census(t, 1, 7, type_preserving=type_preserving)
+        orbit_class_census(t, 1, 7, (type_preserving,))
     assert row_reads == [0, 0]
+    # one joint call serves both modes from one read
+    row_reads.clear()
+    orbit_class_census(t, 1, 7, (True, False))
+    assert row_reads == [0]
     # nor does it build the rooted index, whose size grows with the tree
     assert "rooted" not in vars(t)
+
+
+def census_tuples(t, degree, cap, root=0):
+    """The census's tuples, in its sorted order."""
+    droot = t.distances_from(root)
+    region = [v for v in t.vertices() if droot[v] <= cap + 1]
+    return sorted(
+        tup for tup, _ in aligned_spines(t, degree + 1, vertices=region, max_length=cap)
+    )
+
+
+def test_joint_census_equals_single_mode_censuses():
+    trees = [
+        regular_ball(3, 4),
+        regular_ball(4, 3),
+        regular_ball(3, 2),
+        path_tree(4),
+        path_tree(9),
+        random_tree(40, "joint-census"),
+    ]
+    too_small = 0
+    for t in trees:
+        for degree in (0, 1, 2):
+            for cap in (degree, degree + 1, degree + 3):
+                for root in (0, 1):
+                    [tp] = orbit_class_census(t, degree, cap, (True,), root)
+                    [full] = orbit_class_census(t, degree, cap, (False,), root)
+                    assert orbit_class_census(t, degree, cap, (True, False), root) == (
+                        tp,
+                        full,
+                    )
+                    # reports come in the order of `modes`
+                    assert orbit_class_census(t, degree, cap, (False, True), root) == (
+                        full,
+                        tp,
+                    )
+                    too_small += tp.ball_too_small + full.ball_too_small
+    assert too_small > 0
+
+
+@pytest.mark.parametrize(
+    "tree", [regular_ball(3, 4), random_tree(40, "joint-reuse")], ids=["ball", "random"]
+)
+@pytest.mark.parametrize("degree", [1, 2])
+def test_full_census_builds_images_only_where_its_map_differs(tree, degree, monkeypatch):
+    # a full-mode member reuses its type-preserving images only when both
+    # maps start from the same frame (the representative's oriented spine)
+    # and go to the same oriented spine; every tuple costs one type-preserving
+    # build, and each representative spine one frame across both modes
+    cap = 3
+    tuples = census_tuples(tree, degree, cap)
+    reps: dict[bool, dict] = {True: {}, False: {}}
+    expected_full = same_spine_other_frame = 0
+    rep_spines = set()
+    for tup in tuples:
+        maps = {}
+        for tp in (True, False):
+            key, spine = _signature_data(tree, tup, tp)
+            rep = reps[tp].setdefault(key, tup)
+            rep_spine = tuple(_signature_data(tree, rep, tp)[1])
+            rep_spines.add(rep_spine)
+            maps[tp] = (rep_spine, tuple(spine))
+        expected_full += maps[True] != maps[False]
+        same_spine_other_frame += maps[True][1] == maps[False][1] != maps[True][0]
+    # so reusing on a matching spine alone would miss builds
+    assert same_spine_other_frame > 0
+    calls: Counter = Counter()
+    frames = []
+    real_images, real_frame = orbits._frame_images, orbits._spine_frame
+
+    def images_spy(t, frame, spine_y, type_preserving, depth):
+        calls[type_preserving] += 1
+        return real_images(t, frame, spine_y, type_preserving, depth)
+
+    def frame_spy(t, spine):
+        frames.append(tuple(spine))
+        return real_frame(t, spine)
+
+    monkeypatch.setattr(orbits, "_frame_images", images_spy)
+    monkeypatch.setattr(orbits, "_spine_frame", frame_spy)
+    tp, full = orbit_class_census(tree, degree, cap, (True, False))
+    assert tp.total_tuples == full.total_tuples == len(tuples)
+    assert calls[True] == len(tuples)
+    assert calls[False] == expected_full < len(tuples)
+    assert sorted(frames) == sorted(rep_spines)
+
+
+def test_a_broken_full_only_map_names_the_full_census(monkeypatch):
+    t = regular_ball(3, 4)
+    degree, cap = 1, 3
+    certify = orbits._certify_images
+    tp_maps = set()
+
+    def record(tree, frame, images):
+        tp_maps.add((frame.domain, tuple(images)))
+        certify(tree, frame, images)
+
+    monkeypatch.setattr(orbits, "_certify_images", record)
+    orbit_class_census(t, degree, cap, (True,))
+    broken = []
+
+    def fail_full_only(tree, frame, images):
+        if (frame.domain, tuple(images)) not in tp_maps:
+            broken.append(dict(zip(frame.domain, images)))
+            raise CertificateError("witness certificate: planted")
+        certify(tree, frame, images)
+
+    monkeypatch.setattr(orbits, "_certify_images", fail_full_only)
+    with pytest.raises(CertificateError) as caught:
+        orbit_class_census(t, degree, cap, (True, False))
+    monkeypatch.setattr(orbits, "_certify_images", certify)
+    named = re.fullmatch(
+        r"witness certificate: planted \(in the full census of degree 1: class gaps "
+        r"(\(.*?\)), representative (\(.*?\)), member (\(.*?\))\)",
+        str(caught.value),
+    )
+    assert named is not None, str(caught.value)
+    gaps, rep, member = map(ast.literal_eval, named.groups())
+    key = (None, gaps)
+    assert _signature_data(t, member, False)[0] == key
+    members = [
+        tup for tup in census_tuples(t, degree, cap) if _signature_data(t, tup, False)[0] == key
+    ]
+    assert rep == members[0]
+    # the named pair is the map that failed
+    [failed] = broken
+    assert orbit_witness(t, rep, member, False).isometry.mapping == failed
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -327,7 +461,7 @@ def test_census_types_from_an_odd_root(degree, row_reads):
     # the root's row gives the same bipartition bit as vertex 0's row
     t = regular_ball(3, 4)
     root, cap = 1, 3
-    census = orbit_class_census(t, degree, cap, root=root)
+    [census] = orbit_class_census(t, degree, cap, (True,), root=root)
     assert row_reads == [root]
     droot = t.distances_from(root)
     region = [v for v in t.vertices() if droot[v] <= cap + 1]
@@ -340,29 +474,29 @@ def test_census_types_from_an_odd_root(degree, row_reads):
 
 def test_census_vertices():
     t = regular_ball(3, 4)
-    tp = orbit_class_census(t, 0, 2)
+    [tp] = orbit_class_census(t, 0, 2, (True,))
     assert tp.class_count == 2
     assert tp.all_witnessed
-    full = orbit_class_census(t, 0, 2, type_preserving=False)
+    [full] = orbit_class_census(t, 0, 2, (False,))
     assert full.class_count == 1
     assert full.all_witnessed
 
 
 def test_census_pairs_diameter_two():
     t = regular_ball(3, 4)
-    tp = orbit_class_census(t, 1, 2)
+    [tp] = orbit_class_census(t, 1, 2, (True,))
     assert tp.class_count == 3
     assert {rec.gaps for rec in tp.classes} == {(1,), (2,)}
     assert tp.all_witnessed
     assert tp.ball_too_small == 0
-    full = orbit_class_census(t, 1, 2, type_preserving=False)
+    [full] = orbit_class_census(t, 1, 2, (False,))
     assert full.class_count == 2
     assert full.all_witnessed
 
 
 def test_census_records_sizes_add_up():
     t = regular_ball(3, 4)
-    rep = orbit_class_census(t, 1, 2)
+    [rep] = orbit_class_census(t, 1, 2, (True,))
     assert sum(rec.size for rec in rep.classes) == rep.total_tuples
     for rec in rep.classes:
         data = rec.to_record()
@@ -373,7 +507,7 @@ def test_census_counts_ball_too_small():
     # the root's class holds the leaves, whose single neighbour cannot
     # receive the root's three
     t = regular_ball(3, 2)
-    census = orbit_class_census(t, 0, 1)
+    [census] = orbit_class_census(t, 0, 1, (True,))
     members: dict[tuple, list[tuple[int, ...]]] = {}
     for v in t.vertices():
         members.setdefault(class_key(aligned_signature(t, (v,))), []).append((v,))
@@ -390,7 +524,7 @@ def test_census_rejects_root_outside_tree(row_reads):
     t = regular_ball(3, 2)
     for root in (t.vertex_count, 999, -1):
         with pytest.raises(ValueError, match="root"):
-            orbit_class_census(t, 1, 2, root=root)
+            orbit_class_census(t, 1, 2, (True, False), root=root)
     # a negative root must not be read as a vertex from the end; no row is
     # read at all
     assert row_reads == []

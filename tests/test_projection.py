@@ -1,6 +1,5 @@
 import random
 from itertools import combinations
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -83,7 +82,7 @@ def test_norm_scan_bounds():
     rep = projection_norm_scan(t, 4, 150, seed=13)
     assert rep.passed
     assert rep.term_bound == 15
-    assert Fraction(rep.max_norm_num, rep.max_norm_den) <= 15
+    assert rep.max_norm <= 15
     assert rep.standard_violations == 0
 
 
@@ -330,4 +329,4 @@ def test_norm_scan_standard_count_matches_caterpillar_layouts(seed):
         assert report.standard_count == expected
         assert (expected > 0) == (degree > 0)
         if degree == 0:
-            assert report.max_norm_num == report.max_norm_den == 1
+            assert report.max_norm == 1
